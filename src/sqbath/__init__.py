@@ -40,6 +40,8 @@ from .entanglement import (
     concurrence_xstate,
     partial_transpose,
     ppt_min_eigenvalue,
+    wootters_raw,
+    xstate_raw,
 )
 from .events import (
     EventReport,
@@ -91,6 +93,8 @@ __all__ = [
     "psi2_touch_time",
     "state_vector",
     "sweep",
+    "wootters_raw",
+    "xstate_raw",
 ]
 
 __version__ = "0.1.0"

@@ -8,21 +8,26 @@ closed forms for the trajectory families. The partial-transpose minimum
 eigenvalue supplies the separability criterion, which for two qubits is
 necessary and sufficient.
 
-The generic route keeps every spectrum inside the Hermitian eigensolver
-by diagonalizing sqrt(rho) rho_tilde sqrt(rho) instead of the
-non-Hermitian product rho rho_tilde; the spectra coincide and the
-Hermitian route is far better conditioned.
+The generic route uses Wootters' tau form (PRL 80, 2245, 1998): with
+rho = W W^dagger, the sqrt(l_i) are the singular values of
+W^T (sigma_y (x) sigma_y) W. That takes one pivoted Cholesky
+factorization of rho and one SVD, never squares a square root, and so
+resolves sqrt(l_i) far below sqrt(machine epsilon) without a rank-noise
+floor. The generic and X-state kernels work on (T, 4, 4) stacks; the
+single-state functions apply them to a stack of one, so a scanned grid
+and a refinement evaluator share one code path.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotNormalized, NotXState, PatternMismatch
-from .matkernel import herm_eig, matrix_sqrt_psd
+from .errors import NotNormalized, NotPSD, NotXState, PatternMismatch
+from .matkernel import herm_eig
 from .model import SPIN_FLIP, BasisTag, BathParams, DensityMatrix, dfs_unitary
 
 BRANCH_GENERIC = "generic"
@@ -35,15 +40,17 @@ BRANCH_ZERO = "zero"
 PPT_TOL = 1e-10
 PATTERN_TOL = 1e-10
 
-# Eigenvalues of sqrt(rho) rho_tilde sqrt(rho) this far below the largest
-# are rank noise; sqrt() would amplify them from ~1e-16 to ~1e-8, so they
-# are zeroed before the square roots.
-_EIG_REL_FLOOR = 1e-12
-
 # Density matrices are accepted down to the RK4 positivity floor.
 _PSD_TOL = 1e-6
+# Relative rounding level of a Schur-complement diagonal entry in _psd_factor.
+_PIVOT_RTOL = 64.0 * np.finfo(float).eps
+
+# Stacks are measured in blocks of this many states, which bounds the
+# LAPACK workspace and temporaries whatever the length of the grid.
+_BLOCK = 64
 
 _X_PATTERN = {(0, 0), (0, 3), (1, 1), (1, 2), (2, 1), (2, 2), (3, 0), (3, 3)}
+_OFF_X = np.array([[(i, j) not in _X_PATTERN for j in range(4)] for i in range(4)])
 
 
 @dataclass(frozen=True)
@@ -71,13 +78,22 @@ class PPTResult:
     entangled: bool
 
 
-def _to_standard_mat(rho: DensityMatrix, bath: BathParams | None) -> np.ndarray:
-    if rho.basis == BasisTag.STANDARD:
-        return np.asarray(rho.mat)
+def _to_standard(mats, basis: BasisTag, bath: BathParams | None) -> np.ndarray:
+    """A 4x4 matrix or a (T, 4, 4) stack re-expressed in the standard basis."""
+    if basis == BasisTag.STANDARD:
+        return np.asarray(mats)
     if bath is None:
         raise ValueError("bath parameters are required to leave the DFS basis")
     u = dfs_unitary(bath)
-    return u @ rho.mat @ u.conj().T
+    return u @ mats @ u.conj().T
+
+
+@functools.lru_cache(maxsize=64)
+def _dfs_spin_flip(bath: BathParams) -> np.ndarray:
+    u = dfs_unitary(bath)
+    flip = u.T @ SPIN_FLIP @ u
+    flip.setflags(write=False)
+    return flip
 
 
 def spin_flip(rho_mat: np.ndarray) -> np.ndarray:
@@ -102,29 +118,108 @@ def concurrence_pure(psi, basis: BasisTag = BasisTag.STANDARD,
     return float(min(1.0, val))
 
 
+def _psd_factor(rho) -> np.ndarray:
+    """W with W W^dagger = rho for a (T, 4, 4) stack of PSD matrices.
+
+    Outer-product Cholesky with diagonal pivoting: each step takes the
+    largest remaining diagonal entry d_p as pivot, appends the column
+    a[:, p] / sqrt(d_p) to W, and subtracts its outer product. A
+    diagonal entry counts as zero once it is within 64 eps of its own
+    starting value, which is the rounding level of that Schur complement
+    entry, so tiny populations keep full relative accuracy and exact
+    zeros (the X pattern, say) are never mixed with rounding noise.
+    Raises NotPSD when the unfactored remainder exceeds 1e-6 anywhere,
+    which every matrix with an eigenvalue below -4e-6 does.
+    """
+    r = np.asarray(rho, dtype=complex)
+    a = r + r.conj().transpose(0, 2, 1)
+    a *= 0.5
+    rows = np.arange(a.shape[0])
+    diag = a.diagonal(axis1=1, axis2=2).real  # live view, follows the updates
+    floor = _PIVOT_RTOL * np.abs(diag)
+    w = np.zeros_like(a)
+    for k in range(4):
+        d = np.where(diag > floor, diag, 0.0)
+        p = d.argmax(axis=1)
+        root = np.sqrt(d[rows, p])
+        root[root == 0.0] = np.inf  # unresolved pivot: zero column
+        col = a[rows, :, p] / root[:, None]
+        w[:, :, k] = col
+        # Row and column p drop to rounding level, below the floor.
+        a -= col[:, :, None] * col[:, None, :].conj()
+    if a.size:
+        rest = float(np.abs(a).max())
+        if rest > _PSD_TOL:
+            raise NotPSD(f"not positive semidefinite: {rest:.3e} left unfactored")
+    return w
+
+
+def wootters_raw(mats, basis: BasisTag = BasisTag.STANDARD,
+                 bath: BathParams | None = None) -> np.ndarray:
+    """Signed generic concurrence argument for a (T, 4, 4) stack of states.
+
+    Entry k is sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4) of state k, the
+    sqrt(l_i) taken in descending order as the singular values of Wootters'
+    tau matrix W^T F W with W = _psd_factor(rho) and F the spin flip
+    sigma_y (x) sigma_y written in the stack's basis (U^T F U for DFS
+    states, U = dfs_unitary(bath)). The states themselves are never
+    rotated, so entries that the collective basis resolves to full
+    relative accuracy keep it.
+    """
+    if basis == BasisTag.STANDARD:
+        flip = SPIN_FLIP
+    elif bath is None:
+        raise ValueError("bath parameters are required to leave the DFS basis")
+    else:
+        flip = _dfs_spin_flip(bath)
+    mats = np.asarray(mats)
+    out = np.empty(mats.shape[0])
+    for k in range(0, mats.shape[0], _BLOCK):
+        w = _psd_factor(mats[k:k + _BLOCK])
+        s = np.linalg.svd(w.transpose(0, 2, 1) @ flip @ w, compute_uv=False)
+        out[k:k + _BLOCK] = s[:, 0] - s[:, 1] - s[:, 2] - s[:, 3]
+    return out
+
+
 def concurrence_wootters(rho: DensityMatrix,
                          bath: BathParams | None = None) -> ConcurrenceResult:
-    """Generic mixed-state concurrence via the Hermitian route.
+    """Generic mixed-state concurrence, wootters_raw on a stack of one:
 
-    The l_i are the eigenvalues of sqrt(rho) rho_tilde sqrt(rho) (equal to
-    those of rho rho_tilde), taken in descending order:
+        C = max{0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)},
 
-        C = max{0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)}.
+    the l_i being the eigenvalues of rho rho_tilde in descending order.
     """
-    m = _to_standard_mat(rho, bath)
-    m = 0.5 * (m + m.conj().T)
-    root = matrix_sqrt_psd(m, neg_tol=_PSD_TOL)
-    r = root @ spin_flip(m) @ root
-    w = herm_eig(0.5 * (r + r.conj().T)).eigenvalues[::-1]
-    w = np.where(w < _EIG_REL_FLOOR * max(w[0], 0.0), 0.0, w)
-    roots = np.sqrt(w)
-    c = float(roots[0] - roots[1] - roots[2] - roots[3])
+    c = float(wootters_raw(rho.mat[None], rho.basis, bath)[0])
     value = max(0.0, c)
     return ConcurrenceResult(
         value=min(1.0, value),
         branch=BRANCH_GENERIC if value > 0.0 else BRANCH_ZERO,
         raw=c,
     )
+
+
+def xstate_raw(mats, basis: BasisTag = BasisTag.STANDARD,
+               bath: BathParams | None = None,
+               check_structure: bool = True) -> np.ndarray:
+    """(C1, C2) of the X-state closed form for a (T, 4, 4) stack of states.
+
+    DFS stacks are rotated to the standard basis, where the X pattern is
+    defined. Returns a (T, 2) array; the signed concurrence argument is
+    its row maximum. See concurrence_xstate for the formulas and the
+    structure check.
+    """
+    mats = np.asarray(mats)
+    out = np.empty((mats.shape[0], 2))
+    for k in range(0, mats.shape[0], _BLOCK):
+        m = _to_standard(mats[k:k + _BLOCK], basis, bath)
+        if check_structure:
+            mass = float(np.abs(m[:, _OFF_X]).max())
+            if mass > PATTERN_TOL:
+                raise NotXState(f"off-pattern entry of magnitude {mass:.3e}")
+        p = np.maximum(0.0, np.diagonal(m, axis1=1, axis2=2).real)
+        out[k:k + _BLOCK, 0] = 2.0 * (np.abs(m[:, 1, 2]) - np.sqrt(p[:, 0] * p[:, 3]))
+        out[k:k + _BLOCK, 1] = 2.0 * (np.abs(m[:, 0, 3]) - np.sqrt(p[:, 1] * p[:, 2]))
+    return out
 
 
 def concurrence_xstate(rho: DensityMatrix, check_structure: bool = True,
@@ -140,30 +235,16 @@ def concurrence_xstate(rho: DensityMatrix, check_structure: bool = True,
     and C = max{0, C1, C2}. Off-pattern weight above 1e-10 raises
     NotXState when the structure check is on; below that it is ignored.
     """
-    m = _to_standard_mat(rho, bath)
-    if check_structure:
-        mass = max(
-            abs(m[i, j])
-            for i in range(4)
-            for j in range(4)
-            if (i, j) not in _X_PATTERN
-        )
-        if mass > PATTERN_TOL:
-            raise NotXState(f"off-pattern entry of magnitude {mass:.3e}")
-    p11 = max(0.0, m[0, 0].real)
-    p22 = max(0.0, m[1, 1].real)
-    p33 = max(0.0, m[2, 2].real)
-    p44 = max(0.0, m[3, 3].real)
-    c1 = 2.0 * (abs(m[1, 2]) - math.sqrt(p11 * p44))
-    c2 = 2.0 * (abs(m[0, 3]) - math.sqrt(p22 * p33))
+    c1, c2 = (float(c) for c in
+              xstate_raw(rho.mat[None], rho.basis, bath, check_structure)[0])
     raw = max(c1, c2)
     value = max(0.0, raw)
     if value == 0.0:
         branch = BRANCH_ZERO
     else:
         branch = BRANCH_X_C1 if c1 >= c2 else BRANCH_X_C2
-    return ConcurrenceResult(value=min(1.0, value), branch=branch, raw=float(raw),
-                             raw_candidates=(float(c1), float(c2)))
+    return ConcurrenceResult(value=min(1.0, value), branch=branch, raw=raw,
+                             raw_candidates=(c1, c2))
 
 
 _PSI1_PATTERN = {(0, 0), (0, 3), (3, 0), (2, 2), (3, 3)}
@@ -263,7 +344,7 @@ def ppt_min_eigenvalue(rho: DensityMatrix,
     the flag turns off while the concurrence C is still about 2e-5. Which
     qubit is transposed does not change the spectrum's sign structure.
     """
-    m = _to_standard_mat(rho, bath)
+    m = _to_standard(rho.mat, rho.basis, bath)
     pt = partial_transpose(0.5 * (m + m.conj().T), subsystem=2)
     w = herm_eig(pt).eigenvalues
     mn = float(w[0])

@@ -26,16 +26,14 @@ superposition families and parameter sweeps over eps or N.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .dynamics import ExactPropagator
-from .entanglement import concurrence_wootters, concurrence_xstate
+from .entanglement import concurrence_wootters, concurrence_xstate, wootters_raw, xstate_raw
 from .errors import InsufficientResolution
 from .model import BasisTag, BathParams, DensityMatrix, InitialStateSpec, initial_state
 
@@ -48,8 +46,6 @@ REFINE_TOL = 1e-6
 _TOUCH_CANDIDATE_FACTOR = 4.0
 _GOLDEN_WIDTH = 1e-12
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-THREADS_ENV = "SQBATH_THREADS"
 
 
 @dataclass(frozen=True)
@@ -390,15 +386,25 @@ def scan_times(t_max: float) -> np.ndarray:
         np.arange(0.02, 0.5, 5e-3),
         np.linspace(0.5, t_max, 601),
     ]
-    return np.unique(np.concatenate(pieces))
+    # Sorted and deduplicated like np.unique, whose first call alone adds
+    # ~1.4 MB of resident memory.
+    t = np.sort(np.concatenate(pieces))
+    return t[np.concatenate(([True], t[1:] != t[:-1]))]
 
 
-def _measure_fn(measure: str, bath: BathParams) -> Callable[[DensityMatrix], float]:
-    # Detection wants the signed argument, not the clamped concurrence.
+def _measure_fns(measure: str, bath: BathParams):
+    """Signed concurrence argument of one state and of a DFS-basis stack.
+
+    Detection wants the signed argument, not the clamped concurrence. Both
+    functions run the same stacked kernel, so grid values and refinement
+    values come from one code path.
+    """
     if measure == "wootters":
-        return lambda s: concurrence_wootters(s, bath).raw
+        return ((lambda s: concurrence_wootters(s, bath).raw),
+                lambda m: wootters_raw(m, BasisTag.DFS, bath))
     if measure == "xstate":
-        return lambda s: concurrence_xstate(s, check_structure=True, bath=bath).raw
+        return ((lambda s: concurrence_xstate(s, check_structure=True, bath=bath).raw),
+                lambda m: xstate_raw(m, BasisTag.DFS, bath).max(axis=1))
     raise ValueError(f"unknown measure {measure!r}")
 
 
@@ -406,16 +412,21 @@ def event_scan(spec: InitialStateSpec, bath: BathParams, *,
                t_max: float | None = None,
                zero_tol: float = ZERO_TOL, refine_tol: float = REFINE_TOL,
                measure: str = "wootters") -> EventReport:
-    """Evolve one initial state exactly and detect its events."""
+    """Evolve one initial state exactly and detect its events.
+
+    The whole scan grid is one ExactPropagator.states_at walk, measured
+    as a stack; refinement evaluates single states on demand with
+    state_at.
+    """
     horizon = default_t_max(bath) if t_max is None else t_max
     rho0 = initial_state(spec, bath, BasisTag.DFS)
     prop = ExactPropagator(rho0, bath)
-    fn = _measure_fn(measure, bath)
+    one, stack = _measure_fns(measure, bath)
     times = scan_times(horizon)
-    values = np.array([fn(prop.state_at(tk)) for tk in times])
+    values = stack(prop.states_at(times))
 
     def evaluator(t: float) -> float:
-        return fn(prop.state_at(t))
+        return one(prop.state_at(t))
 
     return detect_events(times, values, evaluator,
                          zero_tol=zero_tol, refine_tol=refine_tol)
@@ -441,18 +452,9 @@ def sweep(initial: str, vary: str, grid: Sequence[float], *,
           psi: float = 0.0, gamma: float = 1.0,
           t_max: float | None = None,
           zero_tol: float = ZERO_TOL, refine_tol: float = REFINE_TOL,
-          measure: str = "wootters",
-          max_workers: int | None = None) -> SweepResult:
-    """Event detection across a grid of eps or N values.
-
-    Grid points are independent; SQBATH_THREADS (or ``max_workers``) caps
-    the thread pool used to evaluate them. Results are deterministic and
-    ordered by the grid regardless of worker count.
-    """
+          measure: str = "wootters") -> SweepResult:
+    """Event detection across a grid of eps or N values, one scan per point."""
     grid = np.asarray(grid, dtype=float)
-    if max_workers is None:
-        max_workers = int(os.environ.get(THREADS_ENV, "1") or "1")
-    max_workers = max(1, max_workers)
 
     def run_point(value: float) -> EventReport:
         spec, point_n = _point_spec(initial, vary, value, eps)
@@ -461,11 +463,7 @@ def sweep(initial: str, vary: str, grid: Sequence[float], *,
         return event_scan(spec, bath, t_max=t_max, zero_tol=zero_tol,
                           refine_tol=refine_tol, measure=measure)
 
-    if max_workers == 1:
-        reports = [run_point(x) for x in grid]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            reports = list(pool.map(run_point, grid))
+    reports = [run_point(x) for x in grid]
 
     fixed = {}
     if vary == "eps":

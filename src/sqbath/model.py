@@ -22,6 +22,7 @@ into the generator.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -214,8 +215,12 @@ def dfs_basis_vectors(bath: BathParams) -> tuple[np.ndarray, np.ndarray, np.ndar
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=64)
 def dfs_unitary(bath: BathParams) -> np.ndarray:
-    """Unitary whose columns are phi_1..phi_4 (standard components)."""
+    """Unitary whose columns are phi_1..phi_4 (standard components).
+
+    Cached per bath; the returned array is read-only, so callers share it.
+    """
     u = np.column_stack(dfs_basis_vectors(bath))
     u.setflags(write=False)
     return u
@@ -236,17 +241,6 @@ def change_basis(rho: DensityMatrix, target: BasisTag, bath: BathParams) -> Dens
     else:
         out = u @ rho.mat @ u.conj().T
     return DensityMatrix(0.5 * (out + out.conj().T), target)
-
-
-def change_basis_mat(mat: np.ndarray, source: BasisTag, target: BasisTag,
-                     bath: BathParams) -> np.ndarray:
-    """change_basis for raw arrays (no invariant enforcement)."""
-    if source == target:
-        return np.array(mat, dtype=complex)
-    u = dfs_unitary(bath)
-    if target == BasisTag.DFS:
-        return u.conj().T @ mat @ u
-    return u @ mat @ u.conj().T
 
 
 def build_liouvillian(bath: BathParams, basis: BasisTag = BasisTag.DFS) -> Liouvillian:

@@ -106,9 +106,9 @@ def vacuum_report(eps_values=DEFAULT_EPS, t_max: float = 6.0, dt: float = 0.01,
     for spec in _vacuum_specs(eps_values):
         prop = ExactPropagator(initial_state(spec, bath, BasisTag.DFS), bath)
         worst = 0.0
-        for t in times:
+        for t, exact in zip(times, prop.states_at(times)):
             closed = closed_form_vacuum(spec, bath, float(t))
-            worst = max(worst, float(np.max(np.abs(closed.mat - prop.state_mat(float(t))))))
+            worst = max(worst, float(np.max(np.abs(closed.mat - exact))))
         rows.append(CheckRow(
             name=f"vacuum-form {spec.label()}",
             max_deviation=worst,
@@ -149,8 +149,8 @@ def concurrence_report(n_values=DEFAULT_NS, eps_values=DEFAULT_EPS,
             bath = BathParams(n)
             for spec in specs:
                 prop = ExactPropagator(initial_state(spec, bath, BasisTag.DFS), bath)
-                for t in times:
-                    state = prop.state_at(float(t))
+                for m in prop.states_at(times):
+                    state = DensityMatrix(m, BasisTag.DFS)
                     closed = concurrence_dfs_closed(state, bath, family)
                     generic = concurrence_wootters(state, bath)
                     worst = max(worst, abs(closed.value - generic.value))

@@ -15,6 +15,7 @@ from sqbath.dynamics import (
     evolve_rk4,
     steady_time,
 )
+from sqbath.events import scan_times
 from sqbath.errors import (
     SingularBath,
     StiffStepRejected,
@@ -131,6 +132,75 @@ class TestExact:
             evolve_exact(rho0, bath, [0.0, -1.0])
         with pytest.raises(ValueError):
             evolve_exact(rho0, bath, [0.0])
+
+    def test_records_invariant_drift(self):
+        bath = BathParams(0.4)
+        rho0 = initial_state(InitialStateSpec.psi1(0.3), bath, BasisTag.DFS)
+        traj = evolve_exact(rho0, bath, np.linspace(0.0, 5.0, 201))
+        assert 0.0 <= traj.meta["trace_drift"] <= 1e-12
+        assert 0.0 <= traj.meta["hermiticity_drift"] <= 1e-12
+
+
+class TestStatesAt:
+    @pytest.mark.parametrize("spec", [InitialStateSpec.phi(3), InitialStateSpec.phi(4),
+                                      InitialStateSpec.psi1(0.3), InitialStateSpec.psi2(0.4)])
+    @pytest.mark.parametrize("n", [0.0, 0.1, 1.0, 2.0])
+    def test_matches_state_at(self, spec, n):
+        # n = 0 includes the Jordan block of the defective generator.
+        bath = BathParams(n)
+        prop = ExactPropagator(initial_state(spec, bath, BasisTag.DFS), bath)
+        times = scan_times(12.0)
+        batch = prop.states_at(times)
+        assert batch.shape == (times.size, 4, 4)
+        for tk, m in zip(times, batch):
+            assert np.max(np.abs(m - prop.state_mat(float(tk)))) <= 1e-12
+
+    def test_repeated_and_nonuniform_times(self):
+        bath = BathParams(0.3)
+        rho0 = initial_state(InitialStateSpec.psi2(0.6), bath, BasisTag.DFS)
+        prop = ExactPropagator(rho0, bath)
+        times = [0.0, 0.0, 0.013, 0.3, 0.3, 1.7, 1.71, 4.0, 9.5, 9.5]
+        batch = prop.states_at(times)
+        np.testing.assert_array_equal(batch[0], rho0.mat)
+        np.testing.assert_array_equal(batch[1], rho0.mat)
+        np.testing.assert_array_equal(batch[3], batch[4])
+        np.testing.assert_array_equal(batch[8], batch[9])
+        for tk, m in zip(times, batch):
+            assert np.max(np.abs(m - prop.state_mat(tk))) <= 1e-12
+            np.testing.assert_array_equal(m, m.conj().T)
+
+    def test_t0_sample_is_rho0_as_given(self):
+        # A custom state may carry a tiny anti-Hermitian part; t = 0 still
+        # returns it untouched, as state_mat(0) does.
+        bath = BathParams(0.3)
+        m = np.array(initial_state(InitialStateSpec.psi1(0.4), bath, BasisTag.DFS).mat)
+        m[0, 3] += 1e-12j
+        prop = ExactPropagator(DensityMatrix(m, BasisTag.DFS), bath)
+        np.testing.assert_array_equal(prop.states_at([0.0, 1.0])[0], m)
+
+    def test_one_exponential_per_distinct_step(self, monkeypatch):
+        from sqbath import dynamics
+
+        calls = []
+        real = dynamics.matrix_exp
+        monkeypatch.setattr(dynamics, "matrix_exp",
+                            lambda a, t: calls.append(t) or real(a, t))
+        bath = BathParams(0.2)
+        prop = ExactPropagator(initial_state(InitialStateSpec.phi(4), bath, BasisTag.DFS),
+                               bath)
+        times = scan_times(10.0)
+        prop.states_at(times)
+        assert len(calls) == len(set(calls)) == len(set(np.diff(times)))
+        assert len(calls) <= 25
+
+    def test_rejects_unsorted_or_negative(self):
+        bath = BathParams(0.1)
+        prop = ExactPropagator(initial_state(InitialStateSpec.phi(3), bath, BasisTag.DFS),
+                               bath)
+        with pytest.raises(ValueError):
+            prop.states_at([0.0, 2.0, 1.0])
+        with pytest.raises(ValueError):
+            prop.states_at([-0.5, 1.0])
 
 
 class TestMethodAgreement:

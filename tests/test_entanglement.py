@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqbath.dynamics import ExactPropagator, closed_form_vacuum
 from sqbath.entanglement import (
@@ -13,8 +15,10 @@ from sqbath.entanglement import (
     partial_transpose,
     ppt_min_eigenvalue,
     spin_flip,
+    wootters_raw,
+    xstate_raw,
 )
-from sqbath.errors import NotNormalized, NotXState, PatternMismatch
+from sqbath.errors import NotNormalized, NotPSD, NotXState, PatternMismatch
 from sqbath.matkernel import eigvals_general, herm_eig, matrix_sqrt_psd
 from sqbath.model import (
     BasisTag,
@@ -131,6 +135,67 @@ class TestWootters:
         for _ in range(50):
             res = concurrence_wootters(random_density_matrix(rng))
             assert 0.0 <= res.value <= 1.0
+
+
+@st.composite
+def rank_deficient_xstates(draw):
+    """Standard-basis X states with one population in [1e-14, 1e-4].
+
+    Coherence magnitudes are drawn up to their PSD bound, inclusive, so
+    many states are rank-deficient in one or both 2x2 blocks.
+    """
+    small = 10.0 ** draw(st.floats(-14.0, -4.0))
+    pops = [draw(st.floats(0.05, 1.0)) for _ in range(3)]
+    pops = [(1.0 - small) * p / sum(pops) for p in pops]
+    pops.insert(draw(st.integers(0, 3)), small)
+    fraction = st.one_of(st.just(1.0), st.floats(0.0, 1.0))
+    phase = st.floats(0.0, 2.0 * math.pi)
+    a = draw(fraction) * math.sqrt(pops[0] * pops[3]) * np.exp(1j * draw(phase))
+    b = draw(fraction) * math.sqrt(pops[1] * pops[2]) * np.exp(1j * draw(phase))
+    m = np.diag(np.array(pops, dtype=complex))
+    m[0, 3], m[3, 0] = a, np.conj(a)
+    m[1, 2], m[2, 1] = b, np.conj(b)
+    return DensityMatrix(m, BasisTag.STANDARD)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(rank_deficient_xstates())
+def test_generic_matches_xstate_on_rank_deficient_states(rho):
+    # The tau form resolves sqrt(l_i) far below 1e-8, where a rank-noise
+    # floor on the l_i would drop terms of order 1e-6.
+    x = concurrence_xstate(rho).value
+    if x > 0.0:
+        assert abs(concurrence_wootters(rho).value - x) <= 1e-10
+
+
+class TestStacks:
+    def test_scalar_is_stack_of_one(self, rng):
+        stack = np.array([random_density_matrix(rng).mat for _ in range(150)])
+        raw = wootters_raw(stack)
+        assert raw.shape == (150,)
+        # Same kernel either way; only SIMD lane assignment can differ.
+        for m, r in zip(stack, raw):
+            assert abs(concurrence_wootters(DensityMatrix(m, BasisTag.STANDARD)).raw - r) <= 1e-14
+
+    def test_xstate_stack(self, rng):
+        states = [random_xstate(rng) for _ in range(20)]
+        pairs = xstate_raw(np.array([s.mat for s in states]))
+        for s, pair in zip(states, pairs):
+            np.testing.assert_allclose(concurrence_xstate(s).raw_candidates, pair,
+                                       rtol=0.0, atol=1e-15)
+
+    def test_xstate_stack_structure_check(self, rng):
+        stack = np.array([random_xstate(rng).mat for _ in range(3)])
+        stack[1, 0, 1] = stack[1, 1, 0] = 1e-6
+        with pytest.raises(NotXState):
+            xstate_raw(stack)
+        assert xstate_raw(stack, check_structure=False).shape == (3, 2)
+
+    def test_rejects_non_psd(self):
+        stack = np.array([np.eye(4) / 4.0, np.diag([0.6, 0.3, 0.2, -0.1])],
+                         dtype=complex)
+        with pytest.raises(NotPSD):
+            wootters_raw(stack)
 
 
 class TestXState:

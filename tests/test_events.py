@@ -4,6 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+from sqbath import events
+from sqbath.dynamics import ExactPropagator
+from sqbath.entanglement import concurrence_wootters, concurrence_xstate
 from sqbath.errors import InsufficientResolution
 from sqbath.events import (
     EventReport,
@@ -16,7 +19,7 @@ from sqbath.events import (
     scan_times,
     sweep,
 )
-from sqbath.model import BathParams, InitialStateSpec
+from sqbath.model import BasisTag, BathParams, InitialStateSpec, initial_state
 
 
 def bisect_root(f, a, b, tol=1e-12):
@@ -224,6 +227,35 @@ class TestEventScan:
         assert a.deaths[0] == pytest.approx(b.deaths[0], abs=1e-6)
         assert a.revivals[0] == pytest.approx(b.revivals[0], abs=1e-6)
 
+    @pytest.mark.parametrize("measure", ["wootters", "xstate"])
+    @pytest.mark.parametrize("spec,n", [
+        (InitialStateSpec.phi(4), 0.42),
+        (InitialStateSpec.psi2(0.54), 0.1),
+        (InitialStateSpec.psi1(0.3), 0.0),
+    ])
+    def test_grid_values_equal_scalar_measure(self, monkeypatch, measure, spec, n):
+        # The batched grid must agree with the per-sample scalar evaluator
+        # that refinement uses.
+        captured = {}
+        real_detect = events.detect_events
+
+        def capture(times, values, evaluator, **kwargs):
+            captured["times"], captured["values"] = times, values
+            return real_detect(times, values, evaluator, **kwargs)
+
+        monkeypatch.setattr(events, "detect_events", capture)
+        bath = BathParams(n)
+        event_scan(spec, bath, measure=measure)
+        prop = ExactPropagator(initial_state(spec, bath, BasisTag.DFS), bath)
+        if measure == "wootters":
+            scalar = [concurrence_wootters(prop.state_at(t), bath).raw
+                      for t in captured["times"]]
+        else:
+            scalar = [concurrence_xstate(prop.state_at(t), bath=bath).raw
+                      for t in captured["times"]]
+        assert len(captured["times"]) == len(scan_times(events.default_t_max(bath)))
+        assert np.max(np.abs(captured["values"] - np.array(scalar))) <= 1e-10
+
 
 class TestSweep:
     def test_grid_alignment_and_death_curve(self):
@@ -244,13 +276,6 @@ class TestSweep:
         td = res.death_times()
         assert not math.isnan(td[0])
         assert math.isnan(td[1])
-
-    def test_threaded_matches_serial(self):
-        grid = [0.25, 0.45]
-        serial = sweep("phi3", "n_bar", grid, max_workers=1)
-        threaded = sweep("phi3", "n_bar", grid, max_workers=2)
-        np.testing.assert_allclose(serial.death_times(), threaded.death_times(),
-                                   atol=1e-12)
 
     def test_revival_decreases_with_eps_at_fixed_n(self):
         # Revival time falls with eps for each bath occupation.
