@@ -40,6 +40,7 @@ from .entanglement import (
     concurrence_xstate,
     partial_transpose,
     ppt_min_eigenvalue,
+    ppt_min_eigenvalues,
     wootters_raw,
     xstate_raw,
 )
@@ -88,6 +89,7 @@ __all__ = [
     "lindblad_operator",
     "partial_transpose",
     "ppt_min_eigenvalue",
+    "ppt_min_eigenvalues",
     "psi1_critical_eps",
     "psi1_death_revival_times",
     "psi2_touch_time",

@@ -38,7 +38,7 @@ from .dynamics import (
     evolve_exact,
     evolve_rk4,
 )
-from .entanglement import concurrence_wootters, ppt_min_eigenvalue
+from .entanglement import concurrence_wootters, ppt_min_eigenvalues, wootters_raw
 from .errors import ConfigError, InvalidCustom, NumericError, SqbathError
 from .events import (
     default_t_max,
@@ -133,17 +133,23 @@ TRAJ_HEADER = (
 )
 
 
+def _concurrence_values(mats, basis: BasisTag, bath: BathParams) -> np.ndarray:
+    """Concurrence of each state of a stack, as concurrence_wootters gives it.
+
+    The argument order of maximum maps a raw -0.0 to +0.0, as max() does.
+    """
+    return np.minimum(1.0, np.maximum(wootters_raw(mats, basis, bath), 0.0))
+
+
 def _trajectory_rows(traj: Trajectory):
-    bath = traj.bath
-    for t, state in zip(traj.times, traj.states):
-        row = [float(t)]
-        for i in range(4):
-            for j in range(4):
-                row.append(float(state.mat[i, j].real))
-                row.append(float(state.mat[i, j].imag))
-        row.append(concurrence_wootters(state, bath).value)
-        row.append(ppt_min_eigenvalue(state, bath).min_eigenvalue)
-        yield row
+    """Rows of t, the 16 entries as (re, im) pairs, concurrence, PT minimum."""
+    mats = traj.states
+    entries = np.stack([mats.real, mats.imag], axis=-1).reshape(len(mats), 32)
+    conc = _concurrence_values(mats, traj.basis, traj.bath)
+    ppt = ppt_min_eigenvalues(mats, traj.basis, traj.bath)
+    for t, row, c, p in zip(traj.times.tolist(), entries,
+                            conc.tolist(), ppt.tolist()):
+        yield [t, *row.tolist(), c, p]
 
 
 def _write_table(fh, header: list[str], rows, fmt: str, comments: list[str] = ()):
@@ -217,11 +223,14 @@ def cmd_events(args) -> int:
 
 # -- figure catalog ------------------------------------------------------------
 
+def _exact_states(spec: InitialStateSpec, bath: BathParams, times: np.ndarray) -> np.ndarray:
+    """Collective-basis states of spec on an ascending grid, one (T, 4, 4) walk."""
+    return ExactPropagator(initial_state(spec, bath, BasisTag.DFS), bath).states_at(times)
+
+
 def _concurrence_series(spec: InitialStateSpec, bath: BathParams, times: np.ndarray):
-    prop = ExactPropagator(initial_state(spec, bath, BasisTag.DFS), bath)
-    for t in times:
-        state = prop.state_at(float(t))
-        yield [float(t), concurrence_wootters(state, bath).value]
+    conc = _concurrence_values(_exact_states(spec, bath, times), BasisTag.DFS, bath)
+    return [[float(t), c] for t, c in zip(times, conc.tolist())]
 
 
 def _write_series(out_dir: Path, name: str, header: list[str], rows,
@@ -259,10 +268,9 @@ def cmd_figure(args) -> int:
     elif n == 2:
         bath = BathParams(0.0)
         times = np.linspace(0.0, args.tmax or 10.0, 201)
-        prop = ExactPropagator(initial_state(InitialStateSpec.phi(3), bath,
-                                             BasisTag.DFS), bath)
-        rows = [[float(t), ppt_min_eigenvalue(prop.state_at(float(t)), bath).min_eigenvalue]
-                for t in times]
+        ppt = ppt_min_eigenvalues(_exact_states(InitialStateSpec.phi(3), bath, times),
+                                  BasisTag.DFS, bath)
+        rows = [[float(t), p] for t, p in zip(times, ppt.tolist())]
         emit("fig02_phi3_ppt_min_eig.csv", ["t", "ppt_min_eig"], rows,
              "partial-transpose minimum eigenvalue, phi3 initial, N=0")
     elif n == 3:

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import matkernel
 from .errors import (
     PositivityLost,
     SingularBath,
@@ -69,26 +68,35 @@ class PropagatorSettings:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time grid plus the state at each sample, all in one basis."""
+    """Time grid plus the states at the samples as one (T, 4, 4) array.
+
+    ``states[k]`` is the density matrix at ``times[k]``, its entries in
+    ``basis``. The stack is copied, checked once (shape, finite entries,
+    alignment with an ascending grid) and made read-only.
+    """
 
     times: np.ndarray
-    states: list[DensityMatrix]
+    states: np.ndarray
+    basis: BasisTag
     bath: BathParams
     method: str
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or t.size != len(self.states) or t.size < 2:
+        t = np.array(self.times, dtype=float)
+        m = np.array(self.states, dtype=complex)
+        if m.ndim != 3 or m.shape[1:] != (4, 4):
+            raise ValueError(f"states must be a (T, 4, 4) stack, got shape {m.shape}")
+        if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+            raise ValueError("states have non-finite entries")
+        if t.ndim != 1 or t.size != m.shape[0] or t.size < 2:
             raise ValueError("times and states must align with length >= 2")
         if np.any(np.diff(t) < 0.0):
             raise ValueError("times must be ascending")
         t.setflags(write=False)
+        m.setflags(write=False)
         object.__setattr__(self, "times", t)
-
-    @property
-    def basis(self) -> BasisTag:
-        return self.states[0].basis
+        object.__setattr__(self, "states", m)
 
 
 def _stiffness_limit(bath: BathParams) -> float:
@@ -97,13 +105,34 @@ def _stiffness_limit(bath: BathParams) -> float:
     return 0.01 / (2.0 * bath.n_bar + 1.0)
 
 
+def _rk4_step_matrix(l_mat: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step of v' = L v as a single matrix.
+
+    For a linear autonomous generator the four stages collapse to the
+    degree-4 Taylor polynomial, evaluated in Horner form:
+
+        P = I + hL (I + hL/2 (I + hL/3 (I + hL/4))),
+
+    so v <- P v equals v + (h/6)(k1 + 2 k2 + 2 k3 + k4) up to rounding.
+    """
+    a = dt * np.asarray(l_mat)
+    eye = np.eye(a.shape[0], dtype=complex)
+    p = eye + a / 4.0
+    for k in (3.0, 2.0, 1.0):
+        p = eye + (a / k) @ p
+    return p
+
+
 def evolve_rk4(rho0: DensityMatrix, bath: BathParams,
                settings: PropagatorSettings) -> Trajectory:
-    """Fixed-step classical RK4 on vec(rho).
+    """Fixed-step classical RK4 on vec(rho), one step-matrix product per step.
 
     Sampled states are re-Hermitized by symmetric averaging (never inside
-    the RK4 stages) and trace-renormalized only when the drift exceeds
-    1e-12; both drifts are recorded in the trajectory metadata.
+    the steps) and trace-renormalized only when the drift exceeds 1e-12;
+    both drifts, the number of renormalized samples and the smallest
+    eigenvalue over the samples are recorded in the trajectory metadata.
+    The positivity check runs on the whole sample stack and raises
+    PositivityLost at the first sample below RK4_POSITIVITY_FLOOR.
     """
     limit = _stiffness_limit(bath)
     if settings.dt > limit * (1.0 + 1e-12):
@@ -111,53 +140,49 @@ def evolve_rk4(rho0: DensityMatrix, bath: BathParams,
             f"dt={settings.dt:g} exceeds stiffness guard {limit:g} "
             f"for n_bar={bath.n_bar:g}"
         )
-    l_mat = build_liouvillian(bath, rho0.basis).mat
     dt = settings.dt
     n_steps = max(1, int(round(settings.t_max / dt)))
+    step_mat = _rk4_step_matrix(build_liouvillian(bath, rho0.basis).mat, dt)
 
+    steps = [s for s in range(1, n_steps + 1)
+             if s % settings.sample_stride == 0 or s == n_steps]
+    vs = np.empty((len(steps), 16), dtype=complex)
     v = vec(rho0.mat)
-    times = [0.0]
-    states = [rho0]
-    trace_drift = 0.0
-    herm_drift = 0.0
-    renormalized = 0
+    done = 0
+    for k, step in enumerate(steps):
+        for _ in range(step - done):
+            v = step_mat @ v
+        vs[k] = v
+        done = step
 
-    def sample(step: int, v_now: np.ndarray):
-        nonlocal trace_drift, herm_drift, renormalized
-        m = unvec(v_now, 4)
-        herm = matkernel.frobenius(m - m.conj().T)
-        herm_drift = max(herm_drift, herm)
-        m = 0.5 * (m + m.conj().T)
-        tr = float(np.real(np.trace(m)))
-        drift = abs(tr - 1.0)
-        trace_drift = max(trace_drift, drift)
-        if drift > TRACE_RENORM_THRESHOLD:
-            m = m / tr
-            renormalized += 1
-        state = DensityMatrix(m, rho0.basis)
-        if state.min_eigenvalue() < RK4_POSITIVITY_FLOOR:
-            raise PositivityLost(
-                f"minimum eigenvalue {state.min_eigenvalue():.3e} at t={step * dt:g}"
-            )
-        times.append(step * dt)
-        states.append(state)
-
-    for step in range(1, n_steps + 1):
-        k1 = l_mat @ v
-        k2 = l_mat @ (v + 0.5 * dt * k1)
-        k3 = l_mat @ (v + 0.5 * dt * k2)
-        k4 = l_mat @ (v + dt * k3)
-        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if step % settings.sample_stride == 0 or step == n_steps:
-            sample(step, v)
+    # Column-stacked vectors -> matrices, as unvec does per sample.
+    m = vs.reshape(-1, 4, 4).transpose(0, 2, 1)
+    mh = m.conj().transpose(0, 2, 1)
+    herm_drift = np.linalg.norm(m - mh, axis=(1, 2))
+    m = 0.5 * (m + mh)
+    tr = np.real(np.trace(m, axis1=1, axis2=2))
+    drift = np.abs(tr - 1.0)
+    renorm = drift > TRACE_RENORM_THRESHOLD
+    m[renorm] /= tr[renorm, None, None]
+    states = np.concatenate([rho0.mat[None], m])
+    w_min = np.linalg.eigvalsh(states)[:, 0]
+    # rho0 is the caller's state and is not held to the floor.
+    bad = np.flatnonzero(w_min[1:] < RK4_POSITIVITY_FLOOR)
+    if bad.size:
+        k = int(bad[0])
+        raise PositivityLost(
+            f"minimum eigenvalue {w_min[k + 1]:.3e} at t={steps[k] * dt:g}"
+        )
 
     meta = {
-        "trace_drift": trace_drift,
-        "hermiticity_drift": herm_drift,
-        "renormalized_samples": renormalized,
+        "trace_drift": float(drift.max()),
+        "hermiticity_drift": float(herm_drift.max()),
+        "renormalized_samples": int(np.count_nonzero(renorm)),
+        "min_eigenvalue": float(w_min.min()),
         "dt": dt,
     }
-    return Trajectory(np.array(times), states, bath, METHOD_RK4, meta)
+    times = np.array([0.0] + [s * dt for s in steps])
+    return Trajectory(times, states, rho0.basis, bath, METHOD_RK4, meta)
 
 
 class ExactPropagator:
@@ -224,7 +249,8 @@ def evolve_exact(rho0: DensityMatrix, bath: BathParams, times) -> Trajectory:
 
     The samples come from one walk of ExactPropagator.states_at. As in
     evolve_rk4, the largest anti-Hermitian part (Frobenius norm) removed
-    from a sample and the largest trace drift are recorded in the metadata.
+    from a sample, the largest trace drift and the smallest eigenvalue
+    over the samples are recorded in the metadata.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size < 2:
@@ -239,9 +265,9 @@ def evolve_exact(rho0: DensityMatrix, bath: BathParams, times) -> Trajectory:
     meta = {
         "trace_drift": float(np.max(np.abs(trace - 1.0))),
         "hermiticity_drift": float(np.max(np.linalg.norm(anti, axis=(1, 2)))),
+        "min_eigenvalue": float(np.linalg.eigvalsh(mats)[:, 0].min()),
     }
-    states = [DensityMatrix(m, rho0.basis) for m in mats]
-    return Trajectory(t, states, bath, METHOD_EXACT, meta)
+    return Trajectory(t, mats, rho0.basis, bath, METHOD_EXACT, meta)
 
 
 def _vacuum_entries(spec: InitialStateSpec, tau: float) -> np.ndarray:
@@ -282,26 +308,31 @@ def _vacuum_entries(spec: InitialStateSpec, tau: float) -> np.ndarray:
     return m
 
 
+def _check_vacuum(spec: InitialStateSpec, bath: BathParams, t_min: float) -> None:
+    if spec.kind == "custom":
+        raise UnsupportedSpec("closed forms exist only for the named initial states")
+    if bath.n_bar != 0.0:
+        raise UnsupportedBath(f"vacuum closed form needs n_bar = 0, got {bath.n_bar}")
+    if t_min < 0.0:
+        raise ValueError("t must be >= 0")
+
+
 def closed_form_vacuum(spec: InitialStateSpec, bath: BathParams, t: float) -> DensityMatrix:
     """Analytic solution at n_bar = 0, assembled in the collective basis.
 
     Valid for the six named initial states; the squeeze phase is inert at
     N = 0 and gamma enters only through tau = gamma * t.
     """
-    if spec.kind == "custom":
-        raise UnsupportedSpec("closed forms exist only for the named initial states")
-    if bath.n_bar != 0.0:
-        raise UnsupportedBath(f"vacuum closed form needs n_bar = 0, got {bath.n_bar}")
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
+    _check_vacuum(spec, bath, t)
     return DensityMatrix(_vacuum_entries(spec, bath.gamma * t), BasisTag.DFS)
 
 
 def evolve_closed_vacuum(spec: InitialStateSpec, bath: BathParams, times) -> Trajectory:
-    """Trajectory built from the vacuum closed forms."""
+    """Trajectory built from the vacuum closed forms, one stack of samples."""
     t = np.asarray(times, dtype=float)
-    states = [closed_form_vacuum(spec, bath, tk) for tk in t]
-    return Trajectory(t, states, bath, METHOD_CLOSED)
+    _check_vacuum(spec, bath, float(t.min()) if t.size else 0.0)
+    states = np.array([_vacuum_entries(spec, bath.gamma * float(tk)) for tk in t])
+    return Trajectory(t, states, BasisTag.DFS, bath, METHOD_CLOSED)
 
 
 @dataclass(frozen=True)

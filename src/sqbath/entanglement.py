@@ -15,7 +15,8 @@ factorization of rho and one SVD, never squares a square root, and so
 resolves sqrt(l_i) far below sqrt(machine epsilon) without a rank-noise
 floor. The generic and X-state kernels work on (T, 4, 4) stacks; the
 single-state functions apply them to a stack of one, so a scanned grid
-and a refinement evaluator share one code path.
+and a refinement evaluator share one code path. The partial-transpose
+criterion is stacked the same way (ppt_min_eigenvalues).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotNormalized, NotPSD, NotXState, PatternMismatch
-from .matkernel import herm_eig
 from .model import SPIN_FLIP, BasisTag, BathParams, DensityMatrix, dfs_unitary
 
 BRANCH_GENERIC = "generic"
@@ -333,19 +333,36 @@ def partial_transpose(rho_mat: np.ndarray, subsystem: int = 2) -> np.ndarray:
     return a.reshape(4, 4)
 
 
+def ppt_min_eigenvalues(mats, basis: BasisTag = BasisTag.STANDARD,
+                        bath: BathParams | None = None) -> np.ndarray:
+    """Minimum partial-transpose eigenvalue for a (T, 4, 4) stack of states.
+
+    Each state is rotated to the standard basis and Hermitized, its second
+    qubit is transposed (as partial_transpose with subsystem 2), and the
+    smallest eigenvalue of each block of the stack comes from one LAPACK
+    eigvalsh call.
+    """
+    mats = np.asarray(mats)
+    out = np.empty(mats.shape[0])
+    for k in range(0, mats.shape[0], _BLOCK):
+        m = _to_standard(mats[k:k + _BLOCK], basis, bath)
+        h = 0.5 * (m + m.conj().transpose(0, 2, 1))
+        pt = h.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
+        out[k:k + _BLOCK] = np.linalg.eigvalsh(pt)[:, 0]
+    return out
+
+
 def ppt_min_eigenvalue(rho: DensityMatrix,
                        bath: BathParams | None = None) -> PPTResult:
     """Separability criterion: minimum eigenvalue of the partial transpose.
 
-    For two qubits a negative value is necessary and sufficient for
-    entanglement. ``entangled`` is a resolvability threshold,
-    min < -PPT_TOL, not the sign test itself: close to a pure product
-    state (the phi3 vacuum tail, say) the eigenvalue is about -C^2/4, so
-    the flag turns off while the concurrence C is still about 2e-5. Which
-    qubit is transposed does not change the spectrum's sign structure.
+    ppt_min_eigenvalues on a stack of one. For two qubits a negative value
+    is necessary and sufficient for entanglement. ``entangled`` is a
+    resolvability threshold, min < -PPT_TOL, not the sign test itself:
+    close to a pure product state (the phi3 vacuum tail, say) the
+    eigenvalue is about -C^2/4, so the flag turns off while the
+    concurrence C is still about 2e-5. Which qubit is transposed does not
+    change the spectrum's sign structure.
     """
-    m = _to_standard(rho.mat, rho.basis, bath)
-    pt = partial_transpose(0.5 * (m + m.conj().T), subsystem=2)
-    w = herm_eig(pt).eigenvalues
-    mn = float(w[0])
+    mn = float(ppt_min_eigenvalues(rho.mat[None], rho.basis, bath)[0])
     return PPTResult(min_eigenvalue=mn, entangled=mn < -PPT_TOL)

@@ -4,8 +4,9 @@ Everything here is deliberately self-contained: a cyclic Jacobi
 eigensolver for Hermitian matrices, a PSD matrix square root built on it,
 a scaling-and-squaring matrix exponential, and characteristic-polynomial
 eigenvalues for general (non-Hermitian) matrices used as a cross-check.
-At these dimensions Jacobi is robust and its accuracy is not the
-bottleneck anywhere in the package.
+The runtime paths take their eigenvalues from LAPACK on stacks of
+states; Jacobi and the square root built on it are the scalar reference
+that the tests check those routes against.
 
 The vectorization convention is column-stacking (Fortran order) and is
 fixed here once for the whole project.

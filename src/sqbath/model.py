@@ -30,7 +30,7 @@ import numpy as np
 
 from . import matkernel
 from .errors import DegenerateBasis, InvalidCustom, InvalidEpsilon
-from .matkernel import as_square_matrix, herm_eig, hermiticity_defect
+from .matkernel import as_square_matrix, hermiticity_defect
 
 # Single-atom operators in the (|+>, |->) ordering.
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
@@ -118,16 +118,21 @@ class DensityMatrix:
         tr = np.trace(m)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr} is not 1")
-        w = herm_eig(0.5 * (m + m.conj().T)).eigenvalues
-        if w[0] < -eig_tol:
-            raise ValueError(f"density matrix has eigenvalue {w[0]:.3e} < -{eig_tol:.1e}")
+        w = _min_eigenvalue(m)
+        if w < -eig_tol:
+            raise ValueError(f"density matrix has eigenvalue {w:.3e} < -{eig_tol:.1e}")
         return DensityMatrix(m, basis)
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.mat @ self.mat)))
 
     def min_eigenvalue(self) -> float:
-        return float(herm_eig(0.5 * (self.mat + self.mat.conj().T)).eigenvalues[0])
+        return _min_eigenvalue(self.mat)
+
+
+def _min_eigenvalue(m: np.ndarray) -> float:
+    """Smallest eigenvalue of the Hermitian part of m (LAPACK eigvalsh)."""
+    return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
 
 
 @dataclass(frozen=True)

@@ -258,7 +258,7 @@ def test_criterion_12_rk4_matches_exact():
             for t in MATRIX_TS:
                 idx = int(np.argmin(np.abs(traj.times - t)))
                 assert abs(traj.times[idx] - t) < 1e-9
-                dev = float(np.max(np.abs(traj.states[idx].mat - prop.state_mat(t))))
+                dev = float(np.max(np.abs(traj.states[idx] - prop.state_mat(t))))
                 worst = max(worst, dev)
     report(12, worst <= 1e-6, f"max RK4-vs-exact entry deviation {worst:.2e} <= 1e-6")
 

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from sqbath.cli import main
+from sqbath.dynamics import ExactPropagator
+from sqbath.entanglement import concurrence_wootters, ppt_min_eigenvalue
 from sqbath.events import psi2_touch_time
+from sqbath.model import BasisTag, BathParams, InitialStateSpec, initial_state
 
 
 def run_cli(capsys, *args):
@@ -158,6 +161,29 @@ class TestFigures:
         assert text.startswith("#")  # caption comment embedded
         _, rows = parse_csv(text)
         assert rows[0][1] == pytest.approx(2 * 0.28 * math.sqrt(1 - 0.28 ** 2), abs=1e-9)
+
+    def test_figure_2_and_3_match_per_sample_route(self, tmp_path):
+        # The figure series come from one states_at walk and stacked
+        # measures; each value must equal state_at plus the scalar measure.
+        assert main(["figure", "2", "--out", str(tmp_path)]) == 0
+        assert main(["figure", "3", "--out", str(tmp_path)]) == 0
+        bath = BathParams(0.0)
+
+        def scalar_route(spec, name, grid, measure, tol):
+            prop = ExactPropagator(initial_state(spec, bath, BasisTag.DFS), bath)
+            _, rows = parse_csv((tmp_path / name).read_text())
+            assert len(rows) == len(grid)
+            for t, (t_csv, value) in zip(grid, rows):
+                assert t_csv == pytest.approx(t, abs=1e-13)
+                assert abs(value - measure(prop.state_at(float(t)))) <= tol
+
+        scalar_route(InitialStateSpec.phi(3), "fig02_phi3_ppt_min_eig.csv",
+                     np.linspace(0.0, 10.0, 201),
+                     lambda s: ppt_min_eigenvalue(s, bath).min_eigenvalue, 1e-12)
+        for eps in (0.28, 0.345, 0.9):
+            scalar_route(InitialStateSpec.psi1(eps), f"fig03_psi1_eps{eps:g}.csv",
+                         np.linspace(0.0, 6.0, 601),
+                         lambda s: concurrence_wootters(s, bath).value, 1e-10)
 
     def test_figure_9_grid_override(self, tmp_path):
         code = main(["figure", "9", "--out", str(tmp_path),

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from sqbath import dynamics
 from sqbath.dynamics import (
     GENERAL_FORM_KNOWN_DEVIATIONS,
+    TRACE_RENORM_THRESHOLD,
     ExactPropagator,
     PropagatorSettings,
     Trajectory,
@@ -17,17 +19,20 @@ from sqbath.dynamics import (
 )
 from sqbath.events import scan_times
 from sqbath.errors import (
+    PositivityLost,
     SingularBath,
     StiffStepRejected,
     UnsupportedBath,
     UnsupportedSpec,
     ValidationFailed,
 )
+from sqbath.matkernel import herm_eig, unvec, vec
 from sqbath.model import (
     BasisTag,
     BathParams,
     DensityMatrix,
     InitialStateSpec,
+    build_liouvillian,
     dfs_basis_vectors,
     initial_state,
 )
@@ -48,20 +53,60 @@ def rk4_settings(t_max, stride=100):
     return PropagatorSettings(t_max=t_max, dt=1e-3, sample_stride=stride)
 
 
+def jacobi_min_eigenvalue(states) -> float:
+    """Smallest eigenvalue over a stack of states by the scalar Jacobi kernel."""
+    return min(float(herm_eig(m).eigenvalues[0]) for m in states)
+
+
+def rk4_four_stage(rho0, bath, settings):
+    """The classical four-stage RK4 loop, sampled and checked one state at a time.
+
+    Reference for evolve_rk4's single step matrix: returns the sample times,
+    the (T, 4, 4) states and the drift metadata.
+    """
+    l_mat = build_liouvillian(bath, rho0.basis).mat
+    dt = settings.dt
+    n_steps = max(1, int(round(settings.t_max / dt)))
+    v = vec(rho0.mat)
+    times, states = [0.0], [rho0.mat]
+    trace_drift = herm_drift = 0.0
+    renormalized = 0
+    for step in range(1, n_steps + 1):
+        k1 = l_mat @ v
+        k2 = l_mat @ (v + 0.5 * dt * k1)
+        k3 = l_mat @ (v + 0.5 * dt * k2)
+        k4 = l_mat @ (v + dt * k3)
+        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if step % settings.sample_stride == 0 or step == n_steps:
+            m = unvec(v, 4)
+            herm_drift = max(herm_drift, float(np.linalg.norm(m - m.conj().T)))
+            m = 0.5 * (m + m.conj().T)
+            tr = float(np.real(np.trace(m)))
+            trace_drift = max(trace_drift, abs(tr - 1.0))
+            if abs(tr - 1.0) > TRACE_RENORM_THRESHOLD:
+                m = m / tr
+                renormalized += 1
+            times.append(step * dt)
+            states.append(m)
+    meta = {"trace_drift": trace_drift, "hermiticity_drift": herm_drift,
+            "renormalized_samples": renormalized}
+    return np.array(times), np.array(states), meta
+
+
 class TestRk4:
     def test_phi1_projector_is_constant(self):
         bath = BathParams(0.5)
         rho0 = initial_state(InitialStateSpec.phi(1), bath, BasisTag.DFS)
         traj = evolve_rk4(rho0, bath, rk4_settings(2.0))
         for state in traj.states:
-            assert np.max(np.abs(state.mat - rho0.mat)) <= 1e-9
+            assert np.max(np.abs(state - rho0.mat)) <= 1e-9
 
     def test_phi4_vacuum_matches_analytic_solution(self):
         # Diagonal at t=1: ((e^2-3)e^{-2}, 0, 2e^{-2}, e^{-2}).
         bath = BathParams(0.0)
         rho0 = initial_state(InitialStateSpec.phi(4), bath, BasisTag.DFS)
         traj = evolve_rk4(rho0, bath, rk4_settings(1.0))
-        end = traj.states[-1].mat
+        end = traj.states[-1]
         e2 = math.exp(-2.0)
         expected = np.diag([(math.exp(2.0) - 3.0) * e2, 0.0, 2.0 * e2, e2])
         assert np.max(np.abs(end - expected)) <= 1e-6
@@ -74,7 +119,7 @@ class TestRk4:
         settings = PropagatorSettings(t_max=math.log(2.0), dt=math.log(2.0) / 800,
                                       sample_stride=800)
         traj = evolve_rk4(rho0, bath, settings)
-        end = traj.states[-1].mat
+        end = traj.states[-1]
         assert np.max(np.abs(end - np.diag([0.75, 0.0, 0.25, 0.0]))) <= 1e-6
 
     def test_stiffness_guard(self):
@@ -89,7 +134,61 @@ class TestRk4:
         traj = evolve_rk4(rho0, bath, rk4_settings(1.0))
         assert traj.meta["trace_drift"] <= 1e-10
         assert traj.meta["hermiticity_drift"] <= 1e-10
+        assert traj.meta["min_eigenvalue"] == pytest.approx(
+            jacobi_min_eigenvalue(traj.states), abs=1e-12)
         assert traj.method == "rk4"
+        # psi2 is pure only at t = 0, so the minimum includes rho0.
+        rho0 = initial_state(InitialStateSpec.psi2(0.6), bath, BasisTag.DFS)
+        traj = evolve_rk4(rho0, bath, rk4_settings(1.0))
+        assert jacobi_min_eigenvalue(traj.states[1:]) > 1e-5
+        assert traj.meta["min_eigenvalue"] == pytest.approx(
+            jacobi_min_eigenvalue(traj.states), abs=1e-12)
+
+    def test_positivity_lost_names_first_failing_sample(self, monkeypatch):
+        # The maximally mixed state purifies toward the dark plane, so its
+        # smallest eigenvalue falls at every sample; a floor between samples
+        # 5 and 6 must stop the run at sample 6 and name its time.
+        bath = BathParams(0.2)
+        rho0 = DensityMatrix(np.eye(4, dtype=complex) / 4.0, BasisTag.DFS)
+        settings = rk4_settings(2.0)
+        traj = evolve_rk4(rho0, bath, settings)
+        w = [float(herm_eig(m).eigenvalues[0]) for m in traj.states]
+        assert all(a > b for a, b in zip(w, w[1:]))
+        monkeypatch.setattr(dynamics, "RK4_POSITIVITY_FLOOR", 0.5 * (w[5] + w[6]))
+        with pytest.raises(PositivityLost) as err:
+            evolve_rk4(rho0, bath, settings)
+        assert str(err.value) == f"minimum eigenvalue {w[6]:.3e} at t={traj.times[6]:g}"
+        assert traj.meta["min_eigenvalue"] == pytest.approx(w[-1], abs=1e-12)
+        assert traj.times[6] == pytest.approx(0.6, abs=1e-12)
+
+
+class TestRk4StepMatrix:
+    @pytest.mark.parametrize("spec", TEST_SPECS, ids=lambda s: s.label())
+    @pytest.mark.parametrize("n", TEST_NS)
+    def test_matches_four_stage_loop(self, spec, n):
+        bath = BathParams(n)
+        rho0 = initial_state(spec, bath, BasisTag.DFS)
+        settings = rk4_settings(1.0, stride=50)
+        traj = evolve_rk4(rho0, bath, settings)
+        times, states, meta = rk4_four_stage(rho0, bath, settings)
+        np.testing.assert_array_equal(traj.times, times)
+        assert np.max(np.abs(traj.states - states)) <= 1e-12
+        assert traj.meta["renormalized_samples"] == meta["renormalized_samples"]
+        for key in ("trace_drift", "hermiticity_drift"):
+            assert traj.meta[key] == pytest.approx(meta[key], abs=1e-13)
+
+    def test_renormalizes_the_same_samples(self):
+        # A start trace of 1 + 1e-9 is carried by the trace-preserving
+        # generator, so every sample is renormalized by both routes.
+        bath = BathParams(0.1)
+        m = initial_state(InitialStateSpec.psi1(0.3), bath, BasisTag.DFS).mat
+        rho0 = DensityMatrix(m * (1.0 + 1e-9), BasisTag.DFS)
+        settings = rk4_settings(0.5, stride=50)
+        traj = evolve_rk4(rho0, bath, settings)
+        times, states, meta = rk4_four_stage(rho0, bath, settings)
+        assert traj.meta["renormalized_samples"] == meta["renormalized_samples"] == 10
+        assert traj.meta["trace_drift"] == pytest.approx(meta["trace_drift"], abs=1e-13)
+        assert np.max(np.abs(traj.states - states)) <= 1e-12
 
 
 class TestExact:
@@ -97,7 +196,7 @@ class TestExact:
         bath = BathParams(0.3)
         rho0 = initial_state(InitialStateSpec.psi2(0.6), bath, BasisTag.DFS)
         traj = evolve_exact(rho0, bath, [0.0, 1.0])
-        np.testing.assert_array_equal(traj.states[0].mat, rho0.mat)
+        np.testing.assert_array_equal(traj.states[0], rho0.mat)
 
     @pytest.mark.parametrize("n", [0.0, 0.5, 2.0])
     def test_phi2_projector_invariant(self, n):
@@ -105,7 +204,7 @@ class TestExact:
         rho0 = initial_state(InitialStateSpec.phi(2), bath, BasisTag.DFS)
         traj = evolve_exact(rho0, bath, np.linspace(0.0, 8.0, 9))
         for state in traj.states:
-            assert np.max(np.abs(state.mat - rho0.mat)) <= 1e-10
+            assert np.max(np.abs(state - rho0.mat)) <= 1e-10
 
     def test_psi1_vacuum_coherence_decay(self):
         eps = 0.28
@@ -139,6 +238,32 @@ class TestExact:
         traj = evolve_exact(rho0, bath, np.linspace(0.0, 5.0, 201))
         assert 0.0 <= traj.meta["trace_drift"] <= 1e-12
         assert 0.0 <= traj.meta["hermiticity_drift"] <= 1e-12
+        assert traj.meta["min_eigenvalue"] == pytest.approx(
+            jacobi_min_eigenvalue(traj.states), abs=1e-12)
+        # A mixed start whose smallest eigenvalue falls from 1/4.
+        mixed = evolve_exact(DensityMatrix(np.eye(4, dtype=complex) / 4.0, BasisTag.DFS),
+                             bath, np.linspace(0.0, 2.0, 5))
+        assert mixed.meta["min_eigenvalue"] == pytest.approx(
+            jacobi_min_eigenvalue(mixed.states), abs=1e-12)
+        assert 0.04 < mixed.meta["min_eigenvalue"] < 0.2
+
+    def test_trajectory_is_one_read_only_stack(self):
+        bath = BathParams(0.4)
+        rho0 = initial_state(InitialStateSpec.psi2(0.6), bath, BasisTag.DFS)
+        times = np.linspace(0.0, 2.0, 5)
+        traj = evolve_exact(rho0, bath, times)
+        assert traj.states.shape == (5, 4, 4)
+        assert traj.basis is BasisTag.DFS
+        with pytest.raises(ValueError):
+            traj.states[1, 0, 0] = 0.0
+        with pytest.raises(ValueError):
+            Trajectory(times, traj.states[:, :3, :3], BasisTag.DFS, bath, "exact")
+        with pytest.raises(ValueError):
+            Trajectory(times[:-1], traj.states, BasisTag.DFS, bath, "exact")
+        bad = np.array(traj.states)
+        bad[2, 1, 1] = np.nan
+        with pytest.raises(ValueError):
+            Trajectory(times, bad, BasisTag.DFS, bath, "exact")
 
 
 class TestStatesAt:
@@ -212,7 +337,7 @@ class TestMethodAgreement:
         for t in TEST_TS:
             steps = int(round(t / 1e-3))
             settings = PropagatorSettings(t_max=t, dt=1e-3, sample_stride=steps)
-            rk4_end = evolve_rk4(rho0, bath, settings).states[-1].mat
+            rk4_end = evolve_rk4(rho0, bath, settings).states[-1]
             exact_end = ExactPropagator(rho0, bath).state_mat(t)
             assert np.max(np.abs(rk4_end - exact_end)) <= 1e-6
 
@@ -233,9 +358,9 @@ class TestTrajectoryInvariants:
         rho0 = initial_state(InitialStateSpec.psi2(0.4), bath, BasisTag.DFS)
         traj = evolve_rk4(rho0, bath, rk4_settings(3.0, stride=300))
         for state in traj.states:
-            assert abs(np.trace(state.mat) - 1.0) <= 1e-10
-            assert np.linalg.norm(state.mat - state.mat.conj().T) <= 1e-10
-            assert state.min_eigenvalue() >= -1e-7
+            assert abs(np.trace(state) - 1.0) <= 1e-10
+            assert np.linalg.norm(state - state.conj().T) <= 1e-10
+            assert DensityMatrix(state, traj.basis).min_eigenvalue() >= -1e-7
 
     @pytest.mark.parametrize("spec", TEST_SPECS, ids=lambda s: s.label())
     @pytest.mark.parametrize("n", TEST_NS)

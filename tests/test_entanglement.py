@@ -14,6 +14,7 @@ from sqbath.entanglement import (
     concurrence_xstate,
     partial_transpose,
     ppt_min_eigenvalue,
+    ppt_min_eigenvalues,
     spin_flip,
     wootters_raw,
     xstate_raw,
@@ -27,6 +28,7 @@ from sqbath.model import (
     InitialStateSpec,
     change_basis,
     dfs_basis_vectors,
+    dfs_unitary,
     initial_state,
     state_vector,
 )
@@ -304,6 +306,41 @@ class TestPartialTranspose:
             assert res.min_eigenvalue < 0.0
             if t <= 5.0:
                 assert res.entangled
+
+    def test_stacked_matches_jacobi(self, rng):
+        mats = np.array([random_density_matrix(rng, n_pure=int(rng.integers(1, 5))).mat
+                         for _ in range(100)]
+                        + [random_xstate(rng).mat for _ in range(50)])
+        got = ppt_min_eigenvalues(mats)
+        for m, g in zip(mats, got):
+            assert abs(g - herm_eig(partial_transpose(m, 2)).eigenvalues[0]) <= 1e-12
+        # A rounding-level anti-Hermitian part is averaged away, as herm_eig does.
+        skew = 1e-11j * np.triu(np.ones((4, 4)), 1)
+        for m in mats[:20]:
+            g = ppt_min_eigenvalues((m + skew)[None])[0]
+            assert abs(g - herm_eig(partial_transpose(m + skew, 2)).eigenvalues[0]) <= 1e-12
+        # The same states in the collective basis, and one at a time.
+        bath = BathParams(0.6, psi=0.3)
+        u = dfs_unitary(bath)
+        in_dfs = u.conj().T @ mats @ u
+        assert np.max(np.abs(ppt_min_eigenvalues(in_dfs, BasisTag.DFS, bath) - got)) <= 1e-12
+        for m, g in zip(mats[:10], got):
+            assert ppt_min_eigenvalue(DensityMatrix(m, BasisTag.STANDARD)).min_eigenvalue == g
+
+    def test_stacked_phi3_vacuum_tail_relative(self):
+        # lambda(t) falls to about -1e-18 by t = 10; the stack must resolve
+        # it as the Jacobi reference does, to relative 1e-10.
+        bath = BathParams(0.0)
+        prop = ExactPropagator(initial_state(InitialStateSpec.phi(3), bath,
+                                             BasisTag.DFS), bath)
+        mats = prop.states_at(np.arange(0.0, 10.0001, 0.05))
+        got = ppt_min_eigenvalues(mats, BasisTag.DFS, bath)
+        u = dfs_unitary(bath)
+        for m, g in zip(mats, got):
+            ref = herm_eig(partial_transpose(u @ m @ u.conj().T, 2)).eigenvalues[0]
+            assert ref < 0.0
+            assert abs(g - ref) <= 1e-10 * abs(ref)
+        assert got[-1] > -1e-17
 
     def test_transpose_convention_irrelevant(self, rng):
         for _ in range(20):

@@ -23,7 +23,7 @@ from sqbath.model import (
     state_vector,
 )
 
-from conftest import random_density_matrix
+from conftest import random_density_matrix, random_xstate
 
 N_GRID = [0.0, 0.1, 0.5, 1.0, 5.0]
 PSI_GRID = [0.0, math.pi / 3]
@@ -285,6 +285,39 @@ class TestDensityMatrix:
         m = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
         with pytest.raises(ValueError):
             DensityMatrix.validated(m, BasisTag.STANDARD)
+
+    def test_eigenvalue_checks_agree_with_jacobi(self, rng):
+        # min_eigenvalue and validated's positivity check run LAPACK; the
+        # Jacobi herm_eig is the scalar reference they must match.
+        mats = [random_density_matrix(rng, n_pure=k).mat for k in (1, 2, 3, 4)
+                for _ in range(10)]
+        for _ in range(20):
+            # Rank-deficient X states: one level emptied, or a block at the
+            # edge of positivity (|r14| = sqrt(r11 r44)).
+            x = np.array(random_xstate(rng).mat)
+            k = int(rng.integers(4))
+            x[k, :] = 0.0
+            x[:, k] = 0.0
+            mats.append(x / np.trace(x).real)
+            y = np.array(random_xstate(rng).mat)
+            y[0, 3] = np.sqrt(y[0, 0] * y[3, 3]) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            y[3, 0] = np.conj(y[0, 3])
+            mats.append(y)
+        for _ in range(10):
+            # Unit-trace Hermitian matrices with a negative eigenvalue.
+            a = random_density_matrix(rng).mat
+            b = random_density_matrix(rng, n_pure=1).mat
+            mats.append(1.5 * b - 0.5 * a)
+        negative = 0
+        for m in mats:
+            ref = float(herm_eig(m).eigenvalues[0])
+            assert abs(DensityMatrix(m, BasisTag.STANDARD).min_eigenvalue() - ref) <= 1e-12
+            DensityMatrix.validated(m, BasisTag.STANDARD, eig_tol=max(0.0, -ref) + 1e-12)
+            if ref < -1e-11:
+                negative += 1
+                with pytest.raises(ValueError, match="eigenvalue"):
+                    DensityMatrix.validated(m, BasisTag.STANDARD, eig_tol=-ref - 1e-12)
+        assert negative >= 5
 
     def test_immutable(self):
         rho = DensityMatrix(np.eye(4, dtype=complex) / 4.0, BasisTag.STANDARD)
