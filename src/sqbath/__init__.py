@@ -30,6 +30,7 @@ from .dynamics import (
     closed_form_vacuum,
     evolve_exact,
     evolve_rk4,
+    walk_states,
 )
 from .entanglement import (
     ConcurrenceResult,
@@ -38,6 +39,7 @@ from .entanglement import (
     concurrence_pure,
     concurrence_wootters,
     concurrence_xstate,
+    dfs_closed_raw,
     partial_transpose,
     ppt_min_eigenvalue,
     ppt_min_eigenvalues,
@@ -80,6 +82,7 @@ __all__ = [
     "concurrence_xstate",
     "detect_events",
     "dfs_basis_vectors",
+    "dfs_closed_raw",
     "dfs_unitary",
     "event_scan",
     "evolve_exact",
@@ -95,6 +98,7 @@ __all__ = [
     "psi2_touch_time",
     "state_vector",
     "sweep",
+    "walk_states",
     "wootters_raw",
     "xstate_raw",
 ]

@@ -60,6 +60,18 @@ def _fmt(x: float) -> str:
     return f"{x:.15g}"
 
 
+def _csv_line(row) -> str:
+    """One CSV line: floats at 15 significant digits, anything else as str().
+
+    A row of Python floats only (every trajectory row) is formatted by one
+    %-template; "%.15g" gives the same text as format(x, ".15g"), inf and
+    nan included.
+    """
+    if set(map(type, row)) == {float}:
+        return ",".join(["%.15g"] * len(row)) % tuple(row) + "\n"
+    return ",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row) + "\n"
+
+
 def _parse_grid(text: str) -> np.ndarray:
     try:
         start, stop, step = (float(p) for p in text.split(":"))
@@ -158,7 +170,7 @@ def _write_table(fh, header: list[str], rows, fmt: str, comments: list[str] = ()
             fh.write(f"# {c}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row) + "\n")
+            fh.write(_csv_line(row))
     elif fmt == "jsonl":
         for row in rows:
             fh.write(json.dumps(dict(zip(header, row))) + "\n")

@@ -18,6 +18,7 @@ the generator.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -185,8 +186,79 @@ def evolve_rk4(rho0: DensityMatrix, bath: BathParams,
     return Trajectory(times, states, rho0.basis, bath, METHOD_RK4, meta)
 
 
+# The exact walk yields at most this many samples at a time, so a caller
+# that folds each block keeps O(_BLOCK * K) states live, not O(T * K).
+_BLOCK = 64
+
+
+def _check_times(times) -> np.ndarray:
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1:
+        raise ValueError("times must be a 1-D sequence")
+    if t.size and (t[0] < 0.0 or np.any(np.diff(t) < 0.0)):
+        raise ValueError("times must be ascending and non-negative")
+    return t
+
+
+def walk_states(liouvillian: Liouvillian, rho0s, times, *,
+                hermitize: bool = True) -> Iterator[tuple[int, np.ndarray]]:
+    """Exact states of K initial states on one bath, one grid walk.
+
+    ``rho0s`` is a (K, 4, 4) stack in the basis of ``liouvillian``. The
+    K column-stacked states are the columns of one 16 x K block V, and the
+    walk advances them together, V <- exp(L dt_k) V, with one matrix
+    exponential per distinct float step dt_k (a piecewise-uniform grid has
+    only a handful) and one product per sample. No eigendecomposition of
+    L is used: at N = 0 it is defective.
+
+    Yields ``(k, block)`` in order, block[b, j] being state j at
+    times[k + b], shape (b, K, 4, 4) with b <= _BLOCK. Samples at t = 0
+    are rho0s exactly; the others are Hermitized as in state_mat unless
+    ``hermitize`` is False, which returns them as propagated (for drift
+    diagnostics).
+    """
+    t = _check_times(times)
+    r0 = np.asarray(rho0s, dtype=complex)
+    if r0.ndim != 3 or r0.shape[1:] != (4, 4):
+        raise ValueError(f"rho0s must be a (K, 4, 4) stack, got shape {r0.shape}")
+    # Column j of v is vec(rho0s[j]) under the column-stacking convention.
+    v = r0.transpose(0, 2, 1).reshape(-1, 16).T
+    steps: dict[float, np.ndarray] = {}
+    now = 0.0
+    for k in range(0, t.size, _BLOCK):
+        tb = t[k:k + _BLOCK]
+        vs = np.empty((tb.size, 16, r0.shape[0]), dtype=complex)
+        for b, tk in enumerate(tb.tolist()):
+            dt = tk - now
+            if dt != 0.0:
+                step = steps.get(dt)
+                if step is None:
+                    step = steps[dt] = matrix_exp(liouvillian.mat, dt)
+                v = step @ v
+                now = tk
+            vs[b] = v
+        # Column-stacked vectors -> matrices, as unvec does per sample.
+        m = vs.transpose(0, 2, 1).reshape(tb.size, -1, 4, 4).swapaxes(-1, -2)
+        if hermitize:
+            # 0.5 (m + m^H) with one temporary the size of the block.
+            h = m.conj().swapaxes(-1, -2)
+            h += m
+            h *= 0.5
+            m = h
+        m[tb == 0.0] = r0
+        yield k, m
+
+
 class ExactPropagator:
-    """Caches the generator so repeated state_at(t) calls stay cheap."""
+    """Caches the generator so repeated state_at(t) calls stay cheap.
+
+    Propagate in the collective (DFS) basis, as the CLI and event_scan do.
+    A standard-basis rho0 is accepted, but there the tiny entries of a
+    decayed state come out as differences of O(1) entries and lose their
+    relative accuracy: phi4 at N = 0, walked to t = 20 on the event-scan
+    grid, gives the |+-> population p22 = -2.6e-16 against the exact
+    t e^{-2t} = 8.5e-17, which the DFS walk reproduces.
+    """
 
     def __init__(self, rho0: DensityMatrix, bath: BathParams):
         self.rho0 = rho0
@@ -207,41 +279,16 @@ class ExactPropagator:
     def states_at(self, times, *, hermitize: bool = True) -> np.ndarray:
         """States at ascending times as one (T, 4, 4) array.
 
-        Walks the grid once, v <- exp(L dt_k) v, with one matrix exponential
-        per distinct float step dt_k (a piecewise-uniform grid has only a
-        handful). No eigendecomposition of L is used: at N = 0 it is
-        defective. Samples at t = 0 are rho0 exactly; the others are
-        Hermitized as in state_mat unless ``hermitize`` is False, which
-        returns them as propagated (for drift diagnostics).
+        walk_states with K = 1: one matrix exponential per distinct step,
+        samples at t = 0 equal to rho0 exactly, the others Hermitized
+        unless ``hermitize`` is False.
         """
-        t = np.asarray(times, dtype=float)
-        if t.ndim != 1:
-            raise ValueError("times must be a 1-D sequence")
-        if t.size and (t[0] < 0.0 or np.any(np.diff(t) < 0.0)):
-            raise ValueError("times must be ascending and non-negative")
-        steps: dict[float, np.ndarray] = {}
-        vs = np.empty((t.size, 16), dtype=complex)
-        v = self._v0
-        now = 0.0
-        for k, tk in enumerate(t):
-            dt = float(tk) - now
-            if dt != 0.0:
-                step = steps.get(dt)
-                if step is None:
-                    step = steps[dt] = matrix_exp(self.liouvillian.mat, dt)
-                v = step @ v
-                now = float(tk)
-            vs[k] = v
-        # Column-stacked vectors -> matrices, as unvec does per sample.
-        m = vs.reshape(-1, 4, 4).transpose(0, 2, 1)
-        if hermitize:
-            # 0.5 (m + m^H) with one temporary the size of the stack.
-            h = m.conj().transpose(0, 2, 1)
-            h += m
-            h *= 0.5
-            m = h
-        m[t == 0.0] = self.rho0.mat
-        return m
+        t = _check_times(times)
+        out = np.empty((t.size, 4, 4), dtype=complex)
+        for k, block in walk_states(self.liouvillian, self.rho0.mat[None], t,
+                                    hermitize=hermitize):
+            out[k:k + block.shape[0]] = block[:, 0]
+        return out
 
 
 def evolve_exact(rho0: DensityMatrix, bath: BathParams, times) -> Trajectory:
@@ -270,39 +317,41 @@ def evolve_exact(rho0: DensityMatrix, bath: BathParams, times) -> Trajectory:
     return Trajectory(t, mats, rho0.basis, bath, METHOD_EXACT, meta)
 
 
-def _vacuum_entries(spec: InitialStateSpec, tau: float) -> np.ndarray:
-    e1 = math.exp(-tau)
-    e2 = math.exp(-2.0 * tau)
-    m = np.zeros((4, 4), dtype=complex)
+def _vacuum_entries(spec: InitialStateSpec, tau) -> np.ndarray:
+    """Vacuum closed form at each scaled time tau = gamma t, a (T, 4, 4) stack."""
+    tau = np.asarray(tau, dtype=float).reshape(-1)
+    e1 = np.exp(-tau)
+    e2 = np.exp(-2.0 * tau)
+    m = np.zeros((tau.size, 4, 4), dtype=complex)
     if spec.kind == "phi1":
-        m[0, 0] = 1.0
+        m[:, 0, 0] = 1.0
     elif spec.kind == "phi2":
-        m[1, 1] = 1.0
+        m[:, 1, 1] = 1.0
     elif spec.kind == "phi3":
-        m[0, 0] = 1.0 - e2
-        m[2, 2] = e2
+        m[:, 0, 0] = 1.0 - e2
+        m[:, 2, 2] = e2
     elif spec.kind == "phi4":
-        m[0, 0] = (math.expm1(2.0 * tau) - 2.0 * tau) * e2
-        m[2, 2] = 2.0 * tau * e2
-        m[3, 3] = e2
+        m[:, 0, 0] = (np.expm1(2.0 * tau) - 2.0 * tau) * e2
+        m[:, 2, 2] = 2.0 * tau * e2
+        m[:, 3, 3] = e2
     elif spec.kind == "psi1":
         eps = float(spec.eps)
         w2 = 1.0 - eps * eps
         off = eps * math.sqrt(w2) * e1
-        m[0, 0] = 1.0 - (1.0 + 2.0 * tau) * w2 * e2
-        m[0, 3] = off
-        m[3, 0] = off
-        m[2, 2] = 2.0 * tau * w2 * e2
-        m[3, 3] = w2 * e2
+        m[:, 0, 0] = 1.0 - (1.0 + 2.0 * tau) * w2 * e2
+        m[:, 0, 3] = off
+        m[:, 3, 0] = off
+        m[:, 2, 2] = 2.0 * tau * w2 * e2
+        m[:, 3, 3] = w2 * e2
     elif spec.kind == "psi2":
         eps = float(spec.eps)
         w2 = 1.0 - eps * eps
         off = eps * math.sqrt(w2) * e1
-        m[0, 0] = w2 * (1.0 - e2)
-        m[1, 1] = eps * eps
-        m[1, 2] = off
-        m[2, 1] = off
-        m[2, 2] = w2 * e2
+        m[:, 0, 0] = w2 * (1.0 - e2)
+        m[:, 1, 1] = eps * eps
+        m[:, 1, 2] = off
+        m[:, 2, 1] = off
+        m[:, 2, 2] = w2 * e2
     else:
         raise UnsupportedSpec(f"no vacuum closed form for {spec.kind!r}")
     return m
@@ -324,15 +373,15 @@ def closed_form_vacuum(spec: InitialStateSpec, bath: BathParams, t: float) -> De
     N = 0 and gamma enters only through tau = gamma * t.
     """
     _check_vacuum(spec, bath, t)
-    return DensityMatrix(_vacuum_entries(spec, bath.gamma * t), BasisTag.DFS)
+    return DensityMatrix(_vacuum_entries(spec, bath.gamma * t)[0], BasisTag.DFS)
 
 
 def evolve_closed_vacuum(spec: InitialStateSpec, bath: BathParams, times) -> Trajectory:
     """Trajectory built from the vacuum closed forms, one stack of samples."""
     t = np.asarray(times, dtype=float)
     _check_vacuum(spec, bath, float(t.min()) if t.size else 0.0)
-    states = np.array([_vacuum_entries(spec, bath.gamma * float(tk)) for tk in t])
-    return Trajectory(t, states, BasisTag.DFS, bath, METHOD_CLOSED)
+    return Trajectory(t, _vacuum_entries(spec, bath.gamma * t), BasisTag.DFS, bath,
+                      METHOD_CLOSED)
 
 
 @dataclass(frozen=True)

@@ -13,16 +13,16 @@ rho = W W^dagger, the sqrt(l_i) are the singular values of
 W^T (sigma_y (x) sigma_y) W. That takes one pivoted Cholesky
 factorization of rho and one SVD, never squares a square root, and so
 resolves sqrt(l_i) far below sqrt(machine epsilon) without a rank-noise
-floor. The generic and X-state kernels work on (T, 4, 4) stacks; the
-single-state functions apply them to a stack of one, so a scanned grid
-and a refinement evaluator share one code path. The partial-transpose
+floor. The generic, X-state and collective-basis closed-form kernels
+work on (T, 4, 4) stacks; the single-state functions apply them to a
+stack of one, so a scanned grid and a refinement evaluator share one
+code path. The partial-transpose
 criterion is stacked the same way (ppt_min_eigenvalues).
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,6 +249,54 @@ def concurrence_xstate(rho: DensityMatrix, check_structure: bool = True,
 
 _PSI1_PATTERN = {(0, 0), (0, 3), (3, 0), (2, 2), (3, 3)}
 _PSI2_PATTERN = _PSI1_PATTERN | {(1, 1), (1, 2), (2, 1)}
+_FAMILY_PATTERNS = {
+    family: np.array([[(i, j) in pattern for j in range(4)] for i in range(4)])
+    for family, pattern in (("psi1", _PSI1_PATTERN), ("psi2", _PSI2_PATTERN))
+}
+
+
+def dfs_closed_raw(mats, bath: BathParams, family: str) -> np.ndarray:
+    """(C1, C2) of the collective-basis closed form for a (T, 4, 4) DFS stack.
+
+    Returns a (T, 2) array; the signed concurrence argument is its row
+    maximum. Off-pattern weight or an imaginary pattern entry above
+    PATTERN_TOL anywhere in the stack raises PatternMismatch, naming the
+    largest. See concurrence_dfs_closed for the formulas.
+    """
+    if family not in _FAMILY_PATTERNS:
+        raise ValueError(f"unknown family {family!r}")
+    m = np.asarray(mats)
+    pattern = _FAMILY_PATTERNS[family]
+    mass = float(np.abs(m[:, ~pattern]).max(initial=0.0))
+    if mass > PATTERN_TOL:
+        raise PatternMismatch(f"off-pattern entry of magnitude {mass:.3e}")
+    imag = float(np.abs(m[:, pattern].imag).max(initial=0.0))
+    if imag > PATTERN_TOL:
+        raise PatternMismatch(f"pattern entries must be real, found imag {imag:.3e}")
+
+    n = bath.n_bar
+    big_m = bath.m
+    g = 2.0 * n + 1.0
+    r11 = m[:, 0, 0].real
+    r33 = m[:, 2, 2].real
+    r44 = m[:, 3, 3].real
+    r14 = m[:, 0, 3].real
+
+    out = np.empty((m.shape[0], 2))
+    if family == "psi1":
+        f1 = np.maximum(0.0, (r11 * n + r44 * (n + 1.0) + 2.0 * r14 * big_m) / g)
+        f2 = np.maximum(0.0, (r44 * n + r11 * (n + 1.0) - 2.0 * r14 * big_m) / g)
+        out[:, 0] = 2.0 * (0.5 * r33 - np.sqrt(f1) * np.sqrt(f2))
+        out[:, 1] = 2.0 * (np.abs(big_m * (r11 - r44) + r14) / g - 0.5 * r33)
+    else:
+        r22 = m[:, 1, 1].real
+        r23 = m[:, 1, 2].real
+        f1 = np.maximum(0.0, (n * (r11 + r44) + r44 + 2.0 * r14 * big_m) / g)
+        f2 = np.maximum(0.0, (n * (r11 + r44) + r11 - 2.0 * r14 * big_m) / g)
+        out[:, 0] = np.abs(r33 - r22) - 2.0 * np.sqrt(f1) * np.sqrt(f2)
+        prod = np.maximum(0.0, (r22 - 2.0 * r23 + r33) * (r22 + 2.0 * r23 + r33))
+        out[:, 1] = (2.0 / g) * np.abs(big_m * (r11 - r44) + r14) - np.sqrt(prod)
+    return out
 
 
 def concurrence_dfs_closed(rho: DensityMatrix, bath: BathParams,
@@ -272,53 +320,19 @@ def concurrence_dfs_closed(rho: DensityMatrix, bath: BathParams,
 
     These are the standard-basis X-state forms re-expressed in collective
     entries, so they must agree with the generic route wherever the
-    pattern holds.
+    pattern holds. dfs_closed_raw on a stack of one.
     """
     if rho.basis != BasisTag.DFS:
         raise PatternMismatch("closed form takes the state in the DFS basis")
-    if family not in ("psi1", "psi2"):
-        raise ValueError(f"unknown family {family!r}")
-    m = np.asarray(rho.mat)
-    pattern = _PSI1_PATTERN if family == "psi1" else _PSI2_PATTERN
-    mass = max(
-        abs(m[i, j]) for i in range(4) for j in range(4) if (i, j) not in pattern
-    )
-    if mass > PATTERN_TOL:
-        raise PatternMismatch(f"off-pattern entry of magnitude {mass:.3e}")
-    imag = max(abs(m[i, j].imag) for (i, j) in pattern)
-    if imag > PATTERN_TOL:
-        raise PatternMismatch(f"pattern entries must be real, found imag {imag:.3e}")
-
-    n = bath.n_bar
-    big_m = bath.m
-    g = 2.0 * n + 1.0
-    r11 = m[0, 0].real
-    r33 = m[2, 2].real
-    r44 = m[3, 3].real
-    r14 = m[0, 3].real
-
-    if family == "psi1":
-        f1 = max(0.0, (r11 * n + r44 * (n + 1.0) + 2.0 * r14 * big_m) / g)
-        f2 = max(0.0, (r44 * n + r11 * (n + 1.0) - 2.0 * r14 * big_m) / g)
-        c1 = 2.0 * (0.5 * r33 - math.sqrt(f1) * math.sqrt(f2))
-        c2 = 2.0 * (abs(big_m * (r11 - r44) + r14) / g - 0.5 * r33)
-    else:
-        r22 = m[1, 1].real
-        r23 = m[1, 2].real
-        f1 = max(0.0, (n * (r11 + r44) + r44 + 2.0 * r14 * big_m) / g)
-        f2 = max(0.0, (n * (r11 + r44) + r11 - 2.0 * r14 * big_m) / g)
-        c1 = abs(r33 - r22) - 2.0 * math.sqrt(f1) * math.sqrt(f2)
-        prod = max(0.0, (r22 - 2.0 * r23 + r33) * (r22 + 2.0 * r23 + r33))
-        c2 = (2.0 / g) * abs(big_m * (r11 - r44) + r14) - math.sqrt(prod)
-
+    c1, c2 = (float(c) for c in dfs_closed_raw(rho.mat[None], bath, family)[0])
     raw = max(c1, c2)
     value = max(0.0, raw)
     if value == 0.0:
         branch = BRANCH_ZERO
     else:
         branch = BRANCH_DFS_C1 if c1 >= c2 else BRANCH_DFS_C2
-    return ConcurrenceResult(value=min(1.0, value), branch=branch, raw=float(raw),
-                             raw_candidates=(float(c1), float(c2)))
+    return ConcurrenceResult(value=min(1.0, value), branch=branch, raw=raw,
+                             raw_candidates=(c1, c2))
 
 
 def partial_transpose(rho_mat: np.ndarray, subsystem: int = 2) -> np.ndarray:

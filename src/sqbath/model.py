@@ -30,7 +30,7 @@ import numpy as np
 
 from . import matkernel
 from .errors import DegenerateBasis, InvalidCustom, InvalidEpsilon
-from .matkernel import as_square_matrix, hermiticity_defect
+from .matkernel import as_square_matrix
 
 # Single-atom operators in the (|+>, |->) ordering.
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
@@ -112,15 +112,7 @@ class DensityMatrix:
     def validated(mat, basis: BasisTag, *, eig_tol: float = EIG_TOL) -> "DensityMatrix":
         """Construct and enforce Hermiticity, unit trace, and positivity."""
         m = as_square_matrix(mat, "density matrix")
-        defect = hermiticity_defect(m)
-        if defect > HERM_TOL:
-            raise ValueError(f"density matrix not Hermitian (defect {defect:.3e})")
-        tr = np.trace(m)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr} is not 1")
-        w = _min_eigenvalue(m)
-        if w < -eig_tol:
-            raise ValueError(f"density matrix has eigenvalue {w:.3e} < -{eig_tol:.1e}")
+        check_density_stack(m[None], eig_tol=eig_tol)
         return DensityMatrix(m, basis)
 
     def purity(self) -> float:
@@ -128,6 +120,32 @@ class DensityMatrix:
 
     def min_eigenvalue(self) -> float:
         return _min_eigenvalue(self.mat)
+
+
+def check_density_stack(mats, *, eig_tol: float = EIG_TOL) -> None:
+    """Check every matrix of a (T, n, n) stack as DensityMatrix.validated does.
+
+    Hermiticity (relative Frobenius defect), unit trace and positivity of
+    the Hermitian part are tested for the whole stack at once, with one
+    batched eigvalsh; the first failing state raises ValueError with the
+    message of its first failing check.
+    """
+    m = np.asarray(mats)
+    mh = m.conj().swapaxes(-1, -2)
+    defect = (np.linalg.norm(m - mh, axis=(-2, -1))
+              / np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1))))
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    w = np.linalg.eigvalsh(0.5 * (m + mh))[:, 0]
+    bad_herm = defect > HERM_TOL
+    bad_trace = np.abs(tr - 1.0) > TRACE_TOL
+    bad = np.flatnonzero(bad_herm | bad_trace | (w < -eig_tol))
+    if bad.size:
+        k = int(bad[0])
+        if bad_herm[k]:
+            raise ValueError(f"density matrix not Hermitian (defect {defect[k]:.3e})")
+        if bad_trace[k]:
+            raise ValueError(f"density matrix trace {tr[k]} is not 1")
+        raise ValueError(f"density matrix has eigenvalue {w[k]:.3e} < -{eig_tol:.1e}")
 
 
 def _min_eigenvalue(m: np.ndarray) -> float:

@@ -1,10 +1,16 @@
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sqbath.cli import main
+import sqbath
+from sqbath.cli import _write_table, main
 from sqbath.dynamics import ExactPropagator
 from sqbath.entanglement import concurrence_wootters, ppt_min_eigenvalue
 from sqbath.events import psi2_touch_time
@@ -218,6 +224,44 @@ class TestValidateCommand:
         lines = out_csv.read_text().strip().splitlines()
         assert lines[0].split(",")[0] == "check"
         assert len(lines) == 17  # header + 16 entry rows
+
+
+class TestModuleEntryPoint:
+    def test_python_m_sqbath_validate(self):
+        env = dict(os.environ)
+        src = str(Path(sqbath.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "sqbath", "validate"],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.strip().splitlines()
+        assert lines[-1] == "gate: ok"
+        assert len(lines) == 33  # header, 31 rows, gate line
+
+
+def _old_csv(rows):
+    """The per-cell formatter the CSV writer used before the row template."""
+    return "".join(
+        ",".join(f"{x:.15g}" if isinstance(x, float) else str(x) for x in row) + "\n"
+        for row in rows)
+
+
+class TestCsvFormatting:
+    def test_bytes_match_per_cell_formatter(self):
+        rng = np.random.default_rng(7)
+        bits = rng.integers(0, 2 ** 64, size=20000, dtype=np.uint64)
+        doubles = bits.view(np.float64).tolist()  # every exponent, nan payloads
+        specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                    1e-310, 1e300, -1e300, 1e-300, 1.7976931348623157e308,
+                    math.inf, -math.inf, math.nan, 1.0, 0.1, 123456789012345678.0]
+        floats = doubles + rng.normal(size=5000).tolist() + specials
+        rows = [floats[k:k + 35] for k in range(0, len(floats), 35)]
+        rows += [["death", 1.25, 1e-6], [True, False, 3, 2.5], [np.float64(0.3), 1.0],
+                 [], [7, "x"]]
+        fh = io.StringIO()
+        _write_table(fh, ["h"], rows, "csv")
+        assert fh.getvalue() == "h\n" + _old_csv(rows)
+        assert "True,False,3,2.5\n" in fh.getvalue()
 
 
 class TestExitCodes:

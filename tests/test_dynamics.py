@@ -16,6 +16,7 @@ from sqbath.dynamics import (
     evolve_exact,
     evolve_rk4,
     steady_time,
+    walk_states,
 )
 from sqbath.events import scan_times
 from sqbath.errors import (
@@ -328,6 +329,52 @@ class TestStatesAt:
             prop.states_at([-0.5, 1.0])
 
 
+class TestWalkStates:
+    SPECS = [InitialStateSpec.phi(3), InitialStateSpec.phi(4),
+             InitialStateSpec.psi1(0.3), InitialStateSpec.psi2(0.6)]
+
+    @pytest.mark.parametrize("n", [0.0, 0.1, 1.0])
+    def test_matches_per_state_walk(self, n):
+        # 601 samples cross nine block boundaries; t = 0 appears twice.
+        bath = BathParams(n)
+        times = np.concatenate([[0.0], np.linspace(0.0, 6.0, 601)])
+        rho0s = np.array([initial_state(s, bath, BasisTag.DFS).mat for s in self.SPECS])
+        singles = [ExactPropagator(DensityMatrix(r, BasisTag.DFS), bath).states_at(times)
+                   for r in rho0s]
+        starts = []
+        for k, block in walk_states(build_liouvillian(bath, BasisTag.DFS), rho0s, times):
+            starts.append(k)
+            assert block.shape[1:] == (len(self.SPECS), 4, 4)
+            assert block.shape[0] <= dynamics._BLOCK
+            for j, single in enumerate(singles):
+                want = single[k:k + block.shape[0]]
+                assert np.max(np.abs(block[:, j] - want)) <= 1e-12
+                np.testing.assert_array_equal(block[:, j], block[:, j].conj().swapaxes(1, 2))
+            for b in np.flatnonzero(times[k:k + block.shape[0]] == 0.0):
+                np.testing.assert_array_equal(block[b], rho0s)
+        assert starts == list(range(0, times.size, dynamics._BLOCK))
+
+    def test_unhermitized_blocks(self):
+        bath = BathParams(0.2)
+        rho0s = np.array([initial_state(s, bath, BasisTag.DFS).mat for s in self.SPECS])
+        times = np.linspace(0.0, 3.0, 70)
+        for k, block in walk_states(build_liouvillian(bath, BasisTag.DFS), rho0s, times,
+                                    hermitize=False):
+            for j, r in enumerate(rho0s):
+                prop = ExactPropagator(DensityMatrix(r, BasisTag.DFS), bath)
+                want = prop.states_at(times, hermitize=False)[k:k + block.shape[0]]
+                assert np.max(np.abs(block[:, j] - want)) <= 1e-12
+
+    def test_rejects_bad_input(self):
+        bath = BathParams(0.1)
+        lv = build_liouvillian(bath, BasisTag.DFS)
+        with pytest.raises(ValueError, match="stack"):
+            next(walk_states(lv, np.eye(4) / 4.0, [0.0, 1.0]))
+        with pytest.raises(ValueError, match="ascending"):
+            next(walk_states(lv, np.eye(4)[None] / 4.0, [1.0, 0.5]))
+        assert list(walk_states(lv, np.eye(4)[None] / 4.0, [])) == []
+
+
 class TestMethodAgreement:
     @pytest.mark.parametrize("spec", TEST_SPECS, ids=lambda s: s.label())
     @pytest.mark.parametrize("n", TEST_NS)
@@ -431,6 +478,28 @@ class TestClosedFormVacuum:
                 InitialStateSpec.custom_state(np.eye(4) / 4.0, BasisTag.DFS),
                 BathParams(0.0), 1.0)
 
+    @pytest.mark.parametrize("spec", [InitialStateSpec.phi(k) for k in (1, 2, 3, 4)]
+                             + [InitialStateSpec.psi1(0.3), InitialStateSpec.psi2(0.7)],
+                             ids=lambda s: s.label())
+    def test_stacked_entries_match_scalar(self, spec):
+        taus = [0.0, 1e-8, 1.0, 40.0]
+        stack = dynamics._vacuum_entries(spec, np.array(taus))
+        assert stack.shape == (4, 4, 4)
+        for tau, m in zip(taus, stack):
+            ref = _scalar_vacuum_entries(spec, tau)
+            # numpy's exp may differ from libm's by one ulp.
+            np.testing.assert_allclose(m, ref, rtol=4.5e-16, atol=2.3e-16)
+            np.testing.assert_array_equal(
+                closed_form_vacuum(spec, BathParams(0.0), tau).mat, m)
+
+    def test_phi4_keeps_expm1_accuracy(self):
+        # r11 = (e^{2 tau} - 1 - 2 tau) e^{-2 tau} ~ 2 tau^2 (1 - 4 tau/3):
+        # exp(x) - 1 would leave no correct digit at tau = 1e-8.
+        tau = 1e-8
+        r11 = dynamics._vacuum_entries(InitialStateSpec.phi(4), [tau])[0, 0, 0].real
+        series = 2.0 * tau ** 2 * (1.0 - 4.0 * tau / 3.0)
+        assert abs(r11 - series) <= 1e-7 * series
+
     def test_trajectory_builder(self):
         traj = evolve_closed_vacuum(InitialStateSpec.phi(3), BathParams(0.0),
                                     np.linspace(0.0, 2.0, 21))
@@ -497,3 +566,36 @@ class TestClosedFormGeneral:
         rho0 = initial_state(InitialStateSpec.phi(3), BathParams(0.0), BasisTag.DFS)
         with pytest.raises(SingularBath):
             closed_form_general(rho0, BathParams(0.0), 1.0)
+
+
+def _scalar_vacuum_entries(spec, tau):
+    """The vacuum closed form one scaled time at a time, with libm exp/expm1."""
+    e1 = math.exp(-tau)
+    e2 = math.exp(-2.0 * tau)
+    m = np.zeros((4, 4), dtype=complex)
+    if spec.kind == "phi1":
+        m[0, 0] = 1.0
+    elif spec.kind == "phi2":
+        m[1, 1] = 1.0
+    elif spec.kind == "phi3":
+        m[0, 0] = 1.0 - e2
+        m[2, 2] = e2
+    elif spec.kind == "phi4":
+        m[0, 0] = (math.expm1(2.0 * tau) - 2.0 * tau) * e2
+        m[2, 2] = 2.0 * tau * e2
+        m[3, 3] = e2
+    else:
+        eps = float(spec.eps)
+        w2 = 1.0 - eps * eps
+        off = eps * math.sqrt(w2) * e1
+        if spec.kind == "psi1":
+            m[0, 0] = 1.0 - (1.0 + 2.0 * tau) * w2 * e2
+            m[0, 3] = m[3, 0] = off
+            m[2, 2] = 2.0 * tau * w2 * e2
+            m[3, 3] = w2 * e2
+        else:
+            m[0, 0] = w2 * (1.0 - e2)
+            m[1, 1] = eps * eps
+            m[1, 2] = m[2, 1] = off
+            m[2, 2] = w2 * e2
+    return m

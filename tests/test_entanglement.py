@@ -9,6 +9,7 @@ from sqbath.dynamics import ExactPropagator, closed_form_vacuum
 from sqbath.entanglement import (
     BRANCH_ZERO,
     concurrence_dfs_closed,
+    dfs_closed_raw,
     concurrence_pure,
     concurrence_wootters,
     concurrence_xstate,
@@ -280,6 +281,49 @@ class TestDfsClosed:
     def test_requires_dfs_basis(self):
         with pytest.raises(PatternMismatch):
             concurrence_dfs_closed(bell_phi_plus(), BathParams(0.5), "psi1")
+
+    @pytest.mark.parametrize("family,specs", [
+        ("psi1", [InitialStateSpec.phi(3), InitialStateSpec.phi(4),
+                  InitialStateSpec.psi1(0.3), InitialStateSpec.psi1(0.9)]),
+        ("psi2", [InitialStateSpec.psi2(0.4), InitialStateSpec.psi2(0.7)]),
+    ])
+    @pytest.mark.parametrize("n", [0.0, 0.1, 1.0])
+    def test_stack_matches_single(self, family, specs, n):
+        bath = BathParams(n)
+        times = np.linspace(0.0, 5.0, 41)
+        stack = np.concatenate([
+            ExactPropagator(initial_state(spec, bath, BasisTag.DFS), bath).states_at(times)
+            for spec in specs])
+        pairs = dfs_closed_raw(stack, bath, family)
+        assert pairs.shape == (stack.shape[0], 2)
+        for m, pair in zip(stack, pairs):
+            single = concurrence_dfs_closed(DensityMatrix(m, BasisTag.DFS), bath, family)
+            np.testing.assert_allclose(single.raw_candidates, pair, rtol=0.0, atol=1e-15)
+            assert single.raw == max(single.raw_candidates)
+
+    @pytest.mark.parametrize("family,entry,value,match", [
+        ("psi1", (1, 3), 1e-6, "off-pattern entry of magnitude 1.000e-06"),
+        ("psi2", (0, 2), 1e-6, "off-pattern entry of magnitude 1.000e-06"),
+        ("psi1", (0, 3), 1e-6j, "pattern entries must be real, found imag 1.000e-06"),
+        ("psi2", (1, 2), 1e-6j, "pattern entries must be real, found imag 1.000e-06"),
+    ])
+    def test_stack_pattern_mismatch(self, family, entry, value, match):
+        bath = BathParams(0.3)
+        spec = InitialStateSpec.psi1(0.5) if family == "psi1" else InitialStateSpec.psi2(0.5)
+        prop = ExactPropagator(initial_state(spec, bath, BasisTag.DFS), bath)
+        stack = prop.states_at(np.linspace(0.0, 2.0, 9))
+        dfs_closed_raw(stack, bath, family)
+        i, j = entry
+        stack[5, i, j] += value
+        stack[5, j, i] += np.conj(value)
+        with pytest.raises(PatternMismatch, match=match):
+            dfs_closed_raw(stack, bath, family)
+        with pytest.raises(PatternMismatch, match=match):
+            concurrence_dfs_closed(DensityMatrix(stack[5], BasisTag.DFS), bath, family)
+
+    def test_stack_rejects_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown family"):
+            dfs_closed_raw(np.eye(4)[None] / 4.0, BathParams(0.1), "psi3")
 
 
 class TestPartialTranspose:

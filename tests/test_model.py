@@ -16,6 +16,7 @@ from sqbath.model import (
     InitialStateSpec,
     build_liouvillian,
     change_basis,
+    check_density_stack,
     dfs_basis_vectors,
     dfs_unitary,
     initial_state,
@@ -318,6 +319,32 @@ class TestDensityMatrix:
                 with pytest.raises(ValueError, match="eigenvalue"):
                     DensityMatrix.validated(m, BasisTag.STANDARD, eig_tol=-ref - 1e-12)
         assert negative >= 5
+
+    @pytest.mark.parametrize("corrupt,match", [("non-hermitian", "not Hermitian"),
+                                               ("trace", "trace"),
+                                               ("negative", "eigenvalue")])
+    def test_stack_check_raises_validated_error(self, rng, corrupt, match):
+        stack = np.array([random_xstate(rng).mat for _ in range(30)])
+        check_density_stack(stack)
+        if corrupt == "non-hermitian":
+            stack[11, 0, 1] += 1e-6
+        elif corrupt == "trace":
+            stack[11] *= 1.001
+        else:
+            # A unit-trace X state with eigenvalue -1e-6 < -EIG_TOL.
+            stack[11] = np.diag([0.5, 0.3, 0.2 + 1e-6, -1e-6])
+        with pytest.raises(ValueError, match=match) as single:
+            DensityMatrix.validated(stack[11], BasisTag.STANDARD)
+        with pytest.raises(ValueError) as stacked:
+            check_density_stack(stack)
+        assert str(stacked.value) == str(single.value)
+
+    def test_stack_check_reports_first_failing_state(self, rng):
+        stack = np.array([random_xstate(rng).mat for _ in range(10)])
+        stack[7, 0, 1] = 0.3
+        stack[4] *= 2.0
+        with pytest.raises(ValueError, match="trace"):
+            check_density_stack(stack)
 
     def test_immutable(self):
         rho = DensityMatrix(np.eye(4, dtype=complex) / 4.0, BasisTag.STANDARD)
